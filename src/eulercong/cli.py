@@ -1,13 +1,15 @@
 """Command-line front end: construct, verify, and trace.
 
 Exit codes: 0 success with all checks passing, 1 any failed
-mathematical check, 2 usage or validation error.
+mathematical check, 2 usage or validation error, 3 internal error
+(an arithmetic invariant of the package broke; one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -190,7 +192,8 @@ def _cmd_verify(args, parser) -> int:
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
     if args.parallel > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+        workers = min(args.parallel, len(grid), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_pair, grid))
     else:
         reports = [verify_congruence(n, m) for n, m in grid]
@@ -243,11 +246,12 @@ def _cmd_trace(args, parser) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eulerian":
-        return _cmd_eulerian(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    return _cmd_trace(args, parser)
+    commands = {"eulerian": _cmd_eulerian, "verify": _cmd_verify, "trace": _cmd_trace}
+    try:
+        return commands[args.command](args, parser)
+    except ArithmeticError as exc:
+        print(f"eulercong: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,16 +30,29 @@ class EulerianPoly:
             raise ValueError("n must be nonnegative")
 
 
-def eulerian_recurrence(n: int) -> EulerianPoly:
-    """A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), from A_0 = 1."""
+# Rows of A_n as integer coefficient tuples, ascending; row n is A_n.
+# Extended on demand and never changed, so each row is built once per process.
+_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
+def eulerian_row(n: int) -> tuple[int, ...]:
+    """Integer coefficients of A_n(t), ascending, by the derivative recurrence.
+
+    A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), so the coefficient of
+    t^i in A_{k+1} is (k+2-i) a_{i-1} + i a_i.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = Poly([0, 1])
-    t_one_minus_t = Poly([0, 1, -1])
-    a = Poly([1])
-    for k in range(n):
-        a = (k + 1) * t * a + t_one_minus_t * a.derivative()
-    return EulerianPoly(n, a)
+    while len(_ROWS) <= n:
+        k = len(_ROWS) - 1
+        a = (0, *_ROWS[k], 0)  # a[i] is the coefficient of t^(i-1)
+        _ROWS.append(tuple((k + 2 - i) * a[i] + i * a[i + 1] for i in range(k + 2)))
+    return _ROWS[n]
+
+
+def eulerian_recurrence(n: int) -> EulerianPoly:
+    """A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), from A_0 = 1."""
+    return EulerianPoly(n, Poly(eulerian_row(n)))
 
 
 def eulerian_bruteforce(n: int, cap: int = BRUTEFORCE_CAP) -> EulerianPoly:

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from eulercong import cli
 from eulercong.cli import dump_json, main
 
 REPORT_KEYS = ["n", "m", "holds", "lhs", "rhs", "remainder", "cofactor"]
@@ -138,3 +140,46 @@ def test_trace_latex(capsys):
                        "--format", "latex")
     assert code == 0
     assert "\\text{difference}" in out
+
+
+def test_parallel_workers_bounded(capsys, monkeypatch):
+    # A fake pool records its size and runs the grid serially: no fork.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    code, par, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
+                       "--format", "json", "--parallel", "100000")
+    assert code == 0
+    assert sizes == [min(2, os.cpu_count() or 1)]
+    code, seq, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
+                       "--format", "json")
+    assert par == seq
+
+
+def _raise_arithmetic(*args):
+    raise ArithmeticError("inexact polynomial division: remainder 1")
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("verify_congruence", ["verify", "--n", "1", "--m", "2"]),
+    ("full_trace", ["trace", "--n", "1", "--m", "2"]),
+])
+def test_internal_error_exits_3(capsys, monkeypatch, target, argv):
+    monkeypatch.setattr(cli, target, _raise_arithmetic)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "eulercong: internal error: inexact polynomial division: remainder 1\n"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulercong.congruence import (
     congruence_sides,
@@ -8,10 +10,27 @@ from eulercong.congruence import (
     verify_congruence,
 )
 from eulercong.eulerian import eulerian_recurrence
-from eulercong.poly import Poly, geometric_poly
+from eulercong.poly import Poly, exact_div, geometric_poly, remainder_mod_shift_power
 from eulercong.prooftrace import diff_rational
 
 F = Fraction
+T = Poly([0, 1])
+
+
+def oracle_sides(n, m):
+    """Both sides by Fraction Poly arithmetic, A_n by its Poly recurrence."""
+    a = Poly([1])
+    for k in range(n):
+        a = (k + 1) * T * a + Poly([0, 1, -1]) * a.derivative()
+    return a.subs_t_power(m), geometric_poly(m) ** (n + 1) * a * F(1, m ** (n + 1))
+
+
+def oracle_certificate(n, lhs, rhs):
+    """(difference, remainder, cofactor, holds) by Taylor shift and long division."""
+    difference = lhs - rhs
+    remainder, _ = remainder_mod_shift_power(difference, n + 1)
+    cofactor = exact_div(difference - remainder, Poly([-1, 1]) ** (n + 1))
+    return difference, remainder, cofactor, remainder.is_zero
 
 
 def test_sides_n1_m2():
@@ -78,3 +97,35 @@ def test_equivalence_with_rational_difference(n, m):
 def test_m_zero_rejected():
     with pytest.raises(ValueError):
         verify_congruence(1, 0)
+
+
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_integer_path_matches_fraction_oracle(n, m):
+    lhs, rhs = oracle_sides(n, m)
+    rep = verify_congruence(n, m)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    assert (rep.difference, rep.remainder, rep.cofactor, rep.holds) == (
+        oracle_certificate(n, lhs, rhs))
+
+
+fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+polys = st.lists(fractions, max_size=12).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 7), lhs=polys, rhs=polys)
+def test_report_from_sides_matches_fraction_oracle(n, lhs, rhs):
+    rep = report_from_sides(n, 1, lhs, rhs)
+    _, remainder, cofactor, holds = oracle_certificate(n, lhs, rhs)
+    assert (rep.remainder, rep.cofactor, rep.holds) == (remainder, cofactor, holds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 7), rhs=polys, q=polys)
+def test_report_from_sides_holds_by_construction(n, rhs, q):
+    # lhs - rhs is a multiple of (t-1)^(n+1), so the cofactor is q.
+    lhs = rhs + q * Poly([-1, 1]) ** (n + 1)
+    rep = report_from_sides(n, 1, lhs, rhs)
+    assert rep.holds and rep.remainder.is_zero
+    assert rep.cofactor == q

@@ -1,0 +1,38 @@
+"""Byte-exact CLI output, frozen from the Fraction implementation.
+
+The files under golden/ hold the stdout of `eulercong ARGS` as written
+before verify moved to integer arithmetic; every run below exits 0.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from eulercong.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+RUNS = {
+    "verify-grid-6x5": ["verify", "--n-max", "6", "--m-max", "5"],
+    "verify-1-2": ["verify", "--n", "1", "--m", "2"],
+    "eulerian-5": ["eulerian", "--n", "5"],
+}
+
+
+def output(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+@pytest.mark.parametrize("name", RUNS)
+def test_golden_output(capsys, name, fmt):
+    code, out = output(capsys, [*RUNS[name], "--format", fmt])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_parallel_json_equals_serial(capsys):
+    argv = [*RUNS["verify-grid-6x5"], "--format", "json"]
+    serial = output(capsys, argv)
+    assert output(capsys, [*argv, "--parallel", "2"]) == serial
