@@ -1,8 +1,10 @@
 """Command-line front end: construct, verify, and trace.
 
 Exit codes: 0 success with all checks passing, 1 any failed
-mathematical check, 2 usage or validation error, 3 internal error
-(an arithmetic invariant of the package broke; one line on stderr).
+mathematical check (trace also names the failed proof checks in one
+stderr line, `eulercong: trace check failed: <names>`), 2 usage or
+validation error, 3 internal error (an arithmetic invariant of the
+package broke; one line on stderr).
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from .ratfunc import RatFunc
 
 N_CAP = 64
 M_CAP = 64
+# trace costs about m^2 n^3 big-integer operations. Its slowest accepted
+# runs, near the corner (40, 40), take about 9 s and 75 MB as a CLI
+# process on a 2-core Xeon; (48, 48) already takes 20 s in process.
+TRACE_N_CAP = 40
+TRACE_M_CAP = 40
 
 METHODS = {
     "recurrence": eulerian_recurrence,
@@ -34,35 +41,16 @@ METHODS = {
 # -- rendering ---------------------------------------------------------
 
 
-def frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def coeff_list(p: Poly) -> list[str]:
-    return [frac_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
+
+
+def _latex_scalar(c: Fraction) -> str:
+    return str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
 
 
 def poly_latex(p: Poly) -> str:
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        mag_tex = str(mag) if mag.denominator == 1 else (
-            f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        )
-        if i == 0:
-            term = mag_tex
-        else:
-            var = "t" if i == 1 else f"t^{{{i}}}"
-            term = var if mag == 1 else mag_tex + var
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(parts)
+    return p.render(_latex_scalar, "t^{{{}}}", "")
 
 
 def ratfunc_json(r: RatFunc) -> dict:
@@ -95,7 +83,7 @@ def trace_json(rep: TraceReport) -> dict:
             }
             for term in rep.per_j
         ],
-        "den_at_one": frac_str(rep.den_at_one),
+        "den_at_one": str(rep.den_at_one),
     }
 
 
@@ -137,14 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_n(parser: argparse.ArgumentParser, n: int) -> None:
-    if not 0 <= n <= N_CAP:
-        parser.error(f"n must be in [0, {N_CAP}], got {n}")
+def _check_n(parser: argparse.ArgumentParser, n: int, cap: int = N_CAP) -> None:
+    if not 0 <= n <= cap:
+        parser.error(f"n must be in [0, {cap}], got {n}")
 
 
-def _check_m(parser: argparse.ArgumentParser, m: int) -> None:
-    if not 1 <= m <= M_CAP:
-        parser.error(f"m must be in [1, {M_CAP}], got {m}")
+def _check_m(parser: argparse.ArgumentParser, m: int, cap: int = M_CAP) -> None:
+    if not 1 <= m <= cap:
+        parser.error(f"m must be in [1, {cap}], got {m}")
 
 
 # -- commands ------------------------------------------------------------
@@ -220,8 +208,8 @@ def _verify_pair(nm: tuple[int, int]) -> CongruenceReport:
 
 
 def _cmd_trace(args, parser) -> int:
-    _check_n(parser, args.n)
-    _check_m(parser, args.m)
+    _check_n(parser, args.n, TRACE_N_CAP)
+    _check_m(parser, args.m, TRACE_M_CAP)
     rep = full_trace(args.n, args.m)
     if args.format == "json":
         print(dump_json(trace_json(rep)))
@@ -240,7 +228,11 @@ def _cmd_trace(args, parser) -> int:
         for term in rep.per_j:
             print(f"  j={term.j}: value={term.value} "
                   f"divisor_exponent={term.divisor_exponent}")
-    return 0 if rep.all_checks else 1
+    if rep.all_checks:
+        return 0
+    print(f"eulercong: trace check failed: {', '.join(rep.failed_checks())}",
+          file=sys.stderr)
+    return 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

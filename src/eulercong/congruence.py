@@ -68,18 +68,27 @@ def _scaled(cs: list[int], scale: int) -> Poly:
     return Poly([Fraction(c, scale) for c in cs])
 
 
-def congruence_sides(n: int, m: int) -> tuple[Poly, Poly]:
-    """(A_n(t^m), geometric(m)^(n+1) * A_n(t) / m^(n+1)), both exact."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def _integer_sides(n: int, m: int) -> tuple[list[int], list[int]]:
+    """A_n(t^m) and geometric(m)^(n+1) * A_n(t) as integer lists.
+
+    The right side of the congruence is the second list over m^(n+1).
+    """
     a = eulerian_row(n)
     lhs = [0] * ((len(a) - 1) * m + 1)
     lhs[::m] = a
     rhs = list(a)
     for _ in range(n + 1):
         rhs = _times_geometric(rhs, m)
+    return lhs, rhs
+
+
+def congruence_sides(n: int, m: int) -> tuple[Poly, Poly]:
+    """(A_n(t^m), geometric(m)^(n+1) * A_n(t) / m^(n+1)), both exact."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    lhs, rhs = _integer_sides(n, m)
     return Poly(lhs), _scaled(rhs, m ** (n + 1))
 
 

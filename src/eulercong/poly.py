@@ -163,7 +163,13 @@ class Poly:
 
     # -- rendering / parsing --------------------------------------------
 
-    def __str__(self) -> str:
+    def render(self, scalar=str, power: str = "t^{}", times: str = "*") -> str:
+        """Nonzero terms in ascending degree, e.g. 't + 4*t^2 + t^3'.
+
+        scalar renders a coefficient's magnitude (omitted when it is 1
+        and t appears), power.format(i) renders t^i for i >= 2 and times
+        joins the two. The defaults give the plain form of str().
+        """
         if self.is_zero:
             return "0"
         parts: list[str] = []
@@ -171,16 +177,18 @@ class Poly:
             if c == 0:
                 continue
             mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                base = "t" if i == 1 else f"t^{i}"
-                term = base if mag == 1 else f"{mag}*{base}"
+            term = scalar(mag)
+            if i:
+                var = "t" if i == 1 else power.format(i)
+                term = var if mag == 1 else term + times + var
             if not parts:
                 parts.append(("-" if c < 0 else "") + term)
             else:
                 parts.append(("- " if c < 0 else "+ ") + term)
         return " ".join(parts)
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"

@@ -35,6 +35,17 @@ class RatFunc:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _from_reduced(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair already in canonical form, skipping the gcd.
+
+        The caller guarantees num and den coprime, den monic, and 0/1 for zero.
+        """
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
     @staticmethod
     def lift(x: Liftable) -> "RatFunc":
         if isinstance(x, RatFunc):

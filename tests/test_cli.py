@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from eulercong import cli
+from eulercong import cli, congruence
 from eulercong.cli import dump_json, main
 
 REPORT_KEYS = ["n", "m", "holds", "lhs", "rhs", "remainder", "cofactor"]
@@ -140,6 +140,35 @@ def test_trace_latex(capsys):
                        "--format", "latex")
     assert code == 0
     assert "\\text{difference}" in out
+
+
+def test_trace_failed_check_exits_1_and_names_it(capsys, monkeypatch):
+    # A_n under the A_1 = 1 convention breaks the proof at n >= 1.
+    real = congruence.eulerian_row
+    monkeypatch.setattr(congruence, "eulerian_row", lambda n: real(n)[1:] if n else real(n))
+    code, out, err = run(capsys, "trace", "--n", "3", "--m", "2")
+    assert code == 1
+    assert out.startswith("n=3 m=2 all_checks=false\n")
+    assert err == "eulercong: trace check failed: diff_equals_series, den_nonzero_at_one\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", str(cli.TRACE_N_CAP + 1), "--m", "1"],
+    ["--n", "0", "--m", str(cli.TRACE_M_CAP + 1)],
+])
+def test_trace_beyond_caps_exits_2_without_computing(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "full_trace", _raise_arithmetic)  # exit 3 if reached
+    code, out, err = run(capsys, "trace", *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be in [" in err
+
+
+def test_trace_at_caps_accepted(capsys):
+    for argv in (["--n", str(cli.TRACE_N_CAP), "--m", "1"],
+                 ["--n", "0", "--m", str(cli.TRACE_M_CAP)]):
+        code, _, _ = run(capsys, "trace", *argv)
+        assert code == 0
 
 
 def test_parallel_workers_bounded(capsys, monkeypatch):

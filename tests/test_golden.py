@@ -1,7 +1,8 @@
 """Byte-exact CLI output, frozen from the Fraction implementation.
 
 The files under golden/ hold the stdout of `eulercong ARGS` as written
-before verify moved to integer arithmetic; every run below exits 0.
+before verify (and, for the trace runs, the proof trace) moved to
+integer arithmetic; every run below exits 0.
 """
 
 from pathlib import Path
@@ -16,6 +17,9 @@ RUNS = {
     "verify-grid-6x5": ["verify", "--n-max", "6", "--m-max", "5"],
     "verify-1-2": ["verify", "--n", "1", "--m", "2"],
     "eulerian-5": ["eulerian", "--n", "5"],
+    "trace-1-2": ["trace", "--n", "1", "--m", "2"],
+    "trace-6-4": ["trace", "--n", "6", "--m", "4"],
+    "trace-8-6": ["trace", "--n", "8", "--m", "6"],
 }
 
 

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trace_oracle
+from eulercong import congruence, poly, prooftrace, ratfunc
 from eulercong.eulerian import eulerian_recurrence
 from eulercong.poly import Poly, geometric_poly
 from eulercong.prooftrace import (
@@ -135,3 +139,86 @@ def test_substitution_consistency(n, m):
     tm = RatFunc(Poly([0] * m + [1]))
     kernel = m_const / (one - scaled_exp(tm, m, n))
     assert kernel.egf_coeff(n) == direct
+
+
+# -- the integer trace against the RatFunc/TruncatedSeries reference ---------
+
+
+def _fields(rep) -> dict:
+    return {
+        "diff_value": (rep.diff_value.num, rep.diff_value.den),
+        "series_value": (rep.series_value.num, rep.series_value.den),
+        "per_j": [(t.j, t.value.num, t.value.den, t.divisor_exponent) for t in rep.per_j],
+        "den_at_one": rep.den_at_one,
+    }
+
+
+def _assert_matches_oracle(n, m):
+    rep = full_trace(n, m)
+    assert _fields(rep) == trace_oracle.trace_fields(n, m)
+    assert isinstance(rep.den_at_one, Fraction)
+    assert rep.all_checks and rep.failed_checks() == []
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_trace_matches_ratfunc_oracle(n, m):
+    _assert_matches_oracle(n, m)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 7))
+def test_trace_matches_ratfunc_oracle_random(n, m):
+    _assert_matches_oracle(n, m)
+
+
+def test_full_trace_runs_no_gcd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic reduction called under full_trace")
+
+    monkeypatch.setattr(poly, "poly_gcd", refuse)
+    monkeypatch.setattr(ratfunc, "poly_gcd", refuse)
+    monkeypatch.setattr(ratfunc.RatFunc, "__init__", refuse)
+    prooftrace._ratio_numerators.cache_clear()
+    assert full_trace(8, 6).all_checks
+
+
+def _a1_equals_one(real):
+    return lambda n: real(n)[1:] if n else real(n)
+
+
+def _perturb_ratio(real, make_term):
+    def patched(j, m, n):
+        value, exponent = real(j, m, n)
+        return make_term(value, exponent) if j == 1 else (value, exponent)
+    return patched
+
+
+@pytest.mark.parametrize("patch,failed", [
+    # A_n under the A_1 = 1 convention: the difference no longer vanishes
+    # to order n+1 at t = 1 and stops matching the series.
+    (lambda mp: mp.setattr(congruence, "eulerian_row", _a1_equals_one(congruence.eulerian_row)),
+     ["diff_equals_series", "den_nonzero_at_one"]),
+    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
+        prooftrace.ratio_coeff, lambda v, k: (v * 2, k))), ["telescopes"]),
+    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
+        prooftrace.ratio_coeff, lambda v, k: (v, None))), ["divisors_bounded"]),
+])
+def test_failed_check_is_named(monkeypatch, patch, failed):
+    patch(monkeypatch)
+    rep = full_trace(3, 2)
+    assert not rep.all_checks
+    assert rep.failed_checks() == failed
+
+
+def test_divisor_exponent_is_checked_by_division(monkeypatch):
+    # A denominator with a stray factor t - 1 divides no power of G_m; the
+    # exponent must come from the division, not from the Phi_d exponents.
+    real = prooftrace._reduce
+
+    def stray_factor(num, den, phis, e):
+        num, den, exps = real(num, den, phis, e)
+        return num, prooftrace._times_binomial(den, 1), exps
+
+    monkeypatch.setattr(prooftrace, "_reduce", stray_factor)
+    assert ratio_coeff(1, 3, 2)[1] is None
