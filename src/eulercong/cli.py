@@ -4,7 +4,14 @@ Exit codes: 0 success with all checks passing, 1 any failed
 mathematical check (trace also names the failed proof checks in one
 stderr line, `eulercong: trace check failed: <names>`), 2 usage or
 validation error, 3 internal error (an arithmetic invariant of the
-package broke; one line on stderr).
+package broke, or a `--parallel` worker died; one line on stderr and
+nothing on stdout).
+
+Each subcommand imports only what it runs: `eulerian` and `verify` load
+`cli`, `congruence`, `eulerian` and `poly`; `trace` and
+`eulerian --method gf` add `prooftrace` and `ratfunc`; only
+`verify --parallel W` with W >= 2 (on a grid of two or more pairs)
+loads `concurrent.futures`.
 """
 
 from __future__ import annotations
@@ -13,15 +20,18 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .congruence import CongruenceReport, verify_congruence
+from .congruence import verify_congruence
 from .eulerian import eulerian_bruteforce, eulerian_from_gf, eulerian_recurrence
-from .poly import Poly
-from .prooftrace import TraceReport, full_trace
-from .ratfunc import RatFunc
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .congruence import CongruenceReport
+    from .poly import Poly
+    from .prooftrace import TraceReport
+    from .ratfunc import RatFunc
 
 N_CAP = 64
 M_CAP = 64
@@ -181,11 +191,15 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--parallel must be >= 1")
     if args.parallel > 1 and len(grid) > 1:
         workers = min(args.parallel, len(grid), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_pair, grid))
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_verify_pair, grid))
+        except BrokenProcessPool as exc:  # a worker died
+            return _internal_error(exc)
     else:
         reports = [verify_congruence(n, m) for n, m in grid]
-    reports.sort(key=lambda r: (r.n, r.m))
 
     if args.format == "json":
         print(dump_json([report_json(r) for r in reports]))
@@ -205,6 +219,25 @@ def _cmd_verify(args, parser) -> int:
 
 def _verify_pair(nm: tuple[int, int]) -> CongruenceReport:
     return verify_congruence(*nm)
+
+
+# The pool and the proof trace are imported on first call, so a process
+# pays for them only on the paths that use them. Both stay attributes of
+# this module, which tests and the benchmark's tracer replace.
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(*args, **kwargs)
+
+
+def full_trace(n: int, m: int) -> TraceReport:
+    """prooftrace.full_trace, imported on first use."""
+    from .prooftrace import full_trace
+
+    return full_trace(n, m)
 
 
 def _cmd_trace(args, parser) -> int:
@@ -242,8 +275,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return commands[args.command](args, parser)
     except ArithmeticError as exc:
-        print(f"eulercong: internal error: {exc}", file=sys.stderr)
-        return 3
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    print(f"eulercong: internal error: {exc}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from .poly import Poly
-from .ratfunc import RatFunc
-from .series import TruncatedSeries, constant_series, scaled_exp
 
 BRUTEFORCE_CAP = 9
 
@@ -71,19 +69,18 @@ def eulerian_bruteforce(n: int, cap: int = BRUTEFORCE_CAP) -> EulerianPoly:
 
 
 def eulerian_from_gf(n: int) -> EulerianPoly:
-    """Extract A_n from 1/(1 - t e^x): the EGF coefficient times (1-t)^(n+1)."""
+    """Extract A_n from 1/(1 - t e^x): the EGF coefficient times (1-t)^(n+1).
+
+    The x^n/n! coefficient of 1/(1 - t e^x) is N_n / (t-1)^(n+1), with N_n
+    from the integer series division of `prooftrace._kernel`, so
+    A_n = (-1)^(n+1) N_n. It shares no code with the recurrence.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = RatFunc(Poly([0, 1]))
-    one = constant_series(RatFunc(Poly([1])), n)
-    kernel = one / (one - scaled_exp(t, 1, n))
-    c = kernel.egf_coeff(n)
-    value = c * RatFunc(Poly([1, -1]) ** (n + 1))
-    if value.den != Poly([1]):
-        raise ArithmeticError("GF extraction did not produce a polynomial")
-    if any(c.denominator != 1 for c in value.num.coeffs):
-        raise ArithmeticError("GF extraction produced non-integer coefficients")
-    return EulerianPoly(n, value.num)
+    from .prooftrace import _kernel  # imported here: prooftrace imports this module
+
+    sign = -1 if n % 2 == 0 else 1
+    return EulerianPoly(n, Poly([sign * c for c in _kernel(1, n)[n]]))
 
 
 def worpitzky_row(n: int, K: int) -> list[Fraction]:
@@ -93,6 +90,8 @@ def worpitzky_row(n: int, K: int) -> list[Fraction]:
     """
     if n < 0 or K < 0:
         raise ValueError("n and K must be nonnegative")
+    from .series import TruncatedSeries
+
     a = eulerian_recurrence(n).poly
     b = Poly([1, -1]) ** (n + 1)
     num = TruncatedSeries([a.coeff(i) for i in range(K + 1)])

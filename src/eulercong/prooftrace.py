@@ -36,12 +36,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .congruence import _integer_sides, _times_geometric
 from .poly import Poly, geometric_poly
 from .ratfunc import RatFunc
-from .series import TruncatedSeries, geometric_exp_sum
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -354,6 +356,8 @@ def xp_decompose(m: int, order: int) -> tuple[Poly, TruncatedSeries]:
         raise ValueError("m must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1 to expose the x-tail")
+    from .series import TruncatedSeries, geometric_exp_sum
+
     s = geometric_exp_sum(m, order)
     constant = s.coeffs[0]
     if constant != geometric_poly(m):

@@ -212,3 +212,28 @@ def test_internal_error_exits_3(capsys, monkeypatch, target, argv):
     assert code == 3
     assert out == ""
     assert err == "eulercong: internal error: inexact polynomial division: remainder 1\n"
+
+
+def test_dead_pool_worker_exits_3(capsys, monkeypatch):
+    # A fake pool whose map fails as a pool with a killed worker does: no fork.
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DeadPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a worker process died")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
+    code, out, err = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
+                         "--parallel", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "eulercong: internal error: a worker process died\n"

@@ -7,6 +7,7 @@ from eulercong.eulerian import (
     eulerian_bruteforce,
     eulerian_from_gf,
     eulerian_recurrence,
+    eulerian_row,
     worpitzky_row,
 )
 from eulercong.poly import Poly
@@ -41,6 +42,12 @@ def test_cross_method_equality(n):
     r = eulerian_recurrence(n).poly
     assert eulerian_bruteforce(n).poly == r
     assert eulerian_from_gf(n).poly == r
+
+
+def test_gf_equals_recurrence_up_to_cap():
+    # The CLI accepts eulerian --method gf up to n = 64.
+    for n in range(65):
+        assert eulerian_from_gf(n).poly.coeffs == eulerian_row(n)
 
 
 @pytest.mark.parametrize("n", range(11))
