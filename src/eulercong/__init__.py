@@ -4,45 +4,31 @@
 
 with a mechanical, machine-checked replay of its generating-function proof.
 
-The names in `__all__` are resolved lazily (PEP 562): `import eulercong`
-imports no submodule, and `eulercong.full_trace` imports
-`eulercong.prooftrace` on first access. So a CLI process loads only the
-modules its subcommand runs (see `eulercong.cli`).
+The names in `__all__`, the CLI-level API and its report types, are
+resolved lazily (PEP 562): `import eulercong` imports no submodule, and
+`eulercong.full_trace` imports `eulercong.prooftrace` on first access.
+So a CLI process loads only the modules its subcommand runs: `eulerian`
+(every method) and `verify` load `cli`, `congruence`, `eulerian`,
+`_intpoly` and `poly`, and `trace` adds `prooftrace` and `ratfunc`.
 """
 
 from importlib import import_module
 
-# Public name -> submodule that defines it.
+# Public name -> submodule that defines it: the CLI-level API and the
+# report types. Every other public function stays importable from its
+# own submodule, e.g. `eulercong.poly.poly_gcd`.
 _SOURCES = {
     "CongruenceReport": "congruence",
-    "congruence_sides": "congruence",
-    "report_from_sides": "congruence",
     "verify_congruence": "congruence",
     "EulerianPoly": "eulerian",
     "eulerian_bruteforce": "eulerian",
     "eulerian_from_gf": "eulerian",
     "eulerian_recurrence": "eulerian",
-    "worpitzky_row": "eulerian",
     "Poly": "poly",
-    "exact_div": "poly",
-    "geometric_poly": "poly",
-    "parse_poly": "poly",
-    "poly_gcd": "poly",
-    "remainder_mod_shift_power": "poly",
-    "shifted_basis_coeffs": "poly",
     "RatioTerm": "prooftrace",
     "TraceReport": "prooftrace",
-    "diff_rational": "prooftrace",
     "full_trace": "prooftrace",
-    "ratio_coeff": "prooftrace",
-    "series_difference_coeff": "prooftrace",
-    "xp_decompose": "prooftrace",
     "RatFunc": "ratfunc",
-    "TruncatedSeries": "series",
-    "constant_series": "series",
-    "geometric_exp_sum": "series",
-    "lift_to_ratfunc": "series",
-    "scaled_exp": "series",
 }
 
 __all__ = sorted(_SOURCES)

@@ -1,0 +1,131 @@
+"""Integer polynomial kernels shared by verify, trace and the gf construction.
+
+A polynomial in t is a list of Python ints, ascending: index i is the
+coefficient of t^i. Results are trimmed (no trailing zeros, [] for the
+zero polynomial) unless a docstring says otherwise, and only `trim`
+changes its argument.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate, zip_longest
+from math import comb
+from operator import sub
+
+
+def trim(p: list[int]) -> list[int]:
+    """Drop trailing zeros of p in place and return it."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def add(p: list[int], q: list[int], c: int = 1) -> list[int]:
+    """p + c*q."""
+    return trim([a + c * b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
+def mul(p: list[int], q: list[int]) -> list[int]:
+    if not p or not q:
+        return []
+    terms = [(j, b) for j, b in enumerate(q) if b]
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in terms:
+                out[i + j] += a * b
+    return out
+
+
+def divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic b."""
+    db = len(b) - 1
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        q = rem[i]
+        if q:
+            quot[i - db] = q
+            for j, c in terms:
+                rem[i - db + j] -= q * c
+    return quot, trim(rem[:db])
+
+
+def times_binomial(p: list[int], e: int, k: int = 1) -> list[int]:
+    """p * (t^e - 1)^k."""
+    for _ in range(k):
+        p = add([0] * e + p, p, -1)
+    return p
+
+
+def times_geometric(p: list[int], m: int, k: int = 1) -> list[int]:
+    """p * G_m^k with G_m = 1 + t + ... + t^(m-1), by k running sums.
+
+    Coefficient i of p * G_m is p[i-m+1] + ... + p[i].
+    """
+    if not p:
+        return []
+    pad = [0] * (m - 1)
+    for _ in range(k):
+        prefix = list(accumulate(p + pad, initial=0))
+        p = list(map(sub, prefix[1:], pad + prefix[:len(p)]))
+    return p
+
+
+def divide_by_shift(cs: list[int], k: int) -> tuple[list[int], list[int]]:
+    """Divide by (t-1) k times by synthetic division.
+
+    Returns the last quotient and the k remainders, which are the Taylor
+    coefficients d_0..d_{k-1} of cs at t = 1 (neither is trimmed).
+    """
+    taylor = []
+    for _ in range(k):
+        sums = list(accumulate(reversed(cs)))  # suffix sums of cs
+        taylor.append(sums[-1] if sums else 0)
+        cs = sums[-2::-1]
+    return cs, taylor
+
+
+def from_shift_basis(ds: list[int]) -> list[int]:
+    """Coefficients in t of sum_i d_i (t-1)^i."""
+    return [sum((-1) ** (i - j) * comb(i, j) * ds[i] for i in range(j, len(ds)))
+            for j in range(len(ds))]
+
+
+def cyclotomic(m: int) -> list[list[int]]:
+    """Phi_d for the divisors d of m, ascending, from t^d - 1 = prod_{e|d} Phi_e."""
+    phis: dict[int, list[int]] = {}
+    for d in range(1, m + 1):
+        if m % d == 0:
+            p = [-1] + [0] * (d - 1) + [1]
+            for e, phi in phis.items():
+                if d % e == 0:
+                    p = divmod_monic(p, phi)[0]
+            phis[d] = p
+    return list(phis.values())
+
+
+def egf_quotient(a: list[list[int]], b: list[list[int]], times_b0) -> list[list[int]]:
+    """N_0..N_n with x^k/k! coefficient of a/b equal to N_k / b_0^(k+1).
+
+    a and b hold the x^k/k! coefficients of two power series in x, and
+    times_b0(p) is p * b_0 (b[0] itself is not read). By Horner in b_0,
+    N_k = (...(a_k b_0 - c_0) b_0 - ... ) b_0 - c_(k-1), with
+    c_j = C(k,j) N_j b_(k-j).
+    """
+    out: list[list[int]] = []
+    for k, acc in enumerate(a):
+        for j in range(k):
+            acc = add(times_b0(acc), mul(out[j], b[k - j]), -comb(k, j))
+        out.append(acc)
+    return out
+
+
+def kernel(c: int, n: int) -> list[list[int]]:
+    """Numerators of 1/(1 - t^c e^(cx)): coefficient k is N_k / (t^c - 1)^(k+1).
+
+    Divides -1 by t^c e^(cx) - 1, whose x^k/k! coefficient is c^k t^c - [k = 0].
+    """
+    b = [times_binomial([1], c)] + [[0] * c + [c ** k] for k in range(1, n + 1)]
+    return egf_quotient([[-1]] + [[]] * n, b, lambda p: times_binomial(p, c))

@@ -7,9 +7,9 @@ validation error, 3 internal error (an arithmetic invariant of the
 package broke, or a `--parallel` worker died; one line on stderr and
 nothing on stdout).
 
-Each subcommand imports only what it runs: `eulerian` and `verify` load
-`cli`, `congruence`, `eulerian` and `poly`; `trace` and
-`eulerian --method gf` add `prooftrace` and `ratfunc`; only
+Each subcommand imports only what it runs: `eulerian` (every method)
+and `verify` load `cli`, `congruence`, `eulerian`, `_intpoly` and
+`poly`; `trace` adds `prooftrace` and `ratfunc`; only
 `verify --parallel W` with W >= 2 (on a grid of two or more pairs)
 loads `concurrent.futures`.
 """

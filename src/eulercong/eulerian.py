@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
+from ._intpoly import kernel
 from .poly import Poly
 
 BRUTEFORCE_CAP = 9
@@ -72,28 +73,25 @@ def eulerian_from_gf(n: int) -> EulerianPoly:
     """Extract A_n from 1/(1 - t e^x): the EGF coefficient times (1-t)^(n+1).
 
     The x^n/n! coefficient of 1/(1 - t e^x) is N_n / (t-1)^(n+1), with N_n
-    from the integer series division of `prooftrace._kernel`, so
+    from the integer series division `_intpoly.kernel`, so
     A_n = (-1)^(n+1) N_n. It shares no code with the recurrence.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    from .prooftrace import _kernel  # imported here: prooftrace imports this module
-
     sign = -1 if n % 2 == 0 else 1
-    return EulerianPoly(n, Poly([sign * c for c in _kernel(1, n)[n]]))
+    return EulerianPoly(n, Poly([sign * c for c in kernel(1, n)[n]]))
 
 
 def worpitzky_row(n: int, K: int) -> list[Fraction]:
     """Coefficients of t^0..t^K in A_n(t)/(1-t)^(n+1); coefficient k is k^n.
 
-    Computed by series deconvolution in t over the rationals (0^0 = 1).
+    Dividing a series by 1 - t takes its running sums, so this is n+1
+    running sums over the coefficients of A_n (0^0 = 1).
     """
     if n < 0 or K < 0:
         raise ValueError("n and K must be nonnegative")
-    from .series import TruncatedSeries
-
-    a = eulerian_recurrence(n).poly
-    b = Poly([1, -1]) ** (n + 1)
-    num = TruncatedSeries([a.coeff(i) for i in range(K + 1)])
-    den = TruncatedSeries([b.coeff(i) for i in range(K + 1)])
-    return list((num / den).coeffs)
+    row = eulerian_row(n)[:K + 1]
+    cs = list(row) + [0] * (K + 1 - len(row))
+    for _ in range(n + 1):
+        cs = list(accumulate(cs))
+    return [Fraction(c) for c in cs]

@@ -7,7 +7,6 @@ The zero polynomial is the empty coefficient tuple.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
@@ -157,11 +156,7 @@ class Poly:
             raise ValueError("cannot make zero polynomial monic")
         return self * (1 / self.leading)
 
-    def reversed_coeffs(self) -> "Poly":
-        """t^deg * p(1/t); used for palindromicity checks."""
-        return Poly(list(reversed(self.coeffs)))
-
-    # -- rendering / parsing --------------------------------------------
+    # -- rendering ------------------------------------------------------
 
     def render(self, scalar=str, power: str = "t^{}", times: str = "*") -> str:
         """Nonzero terms in ascending degree, e.g. 't + 4*t^2 + t^3'.
@@ -197,44 +192,6 @@ class Poly:
 ZERO = Poly()
 ONE = Poly([1])
 T = Poly([0, 1])
-
-
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<num>\d+(?:/\d+)?)?(?:\*)?(?P<var>t(?:\^(?P<exp>\d+))?)?$"
-)
-
-
-def parse_poly(text: str) -> Poly:
-    """Parse the rendering grammar, e.g. 't + 4*t^2 + t^3' or '-1/4*t'."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial string")
-    tokens = s.replace("-", "+-").split("+")
-    coeffs: dict[int, Fraction] = {}
-    seen = False
-    for tok in tokens:
-        if not tok:
-            continue
-        m = _TERM_RE.match(tok)
-        if not m or (m.group("num") is None and m.group("var") is None):
-            raise ValueError(f"bad polynomial term: {tok!r}")
-        seen = True
-        c = Fraction(m.group("num")) if m.group("num") else Fraction(1)
-        if m.group("sign") == "-":
-            c = -c
-        if m.group("var") is None:
-            k = 0
-        elif m.group("exp") is None:
-            k = 1
-        else:
-            k = int(m.group("exp"))
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-    if not seen:
-        raise ValueError(f"no terms in polynomial string: {text!r}")
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return Poly(out)
 
 
 # -- module-level helpers ---------------------------------------------

@@ -16,34 +16,29 @@ Every step is recomputed in exact arithmetic and cross-checked:
 (diff_equals_series, telescopes, den_nonzero_at_one, divisors_bounded);
 all_checks is their conjunction.
 
-All arithmetic runs on integer coefficient lists (ascending, no trailing
-zeros, [] for zero). Every denominator divides a power of
-t^m - 1 = prod_{d|m} Phi_d, so each value is an integer numerator over
-prod Phi_d^(e_d) with G_m = prod_{d|m, d>1} Phi_d. A value is brought to
-lowest terms by exact trial division of the numerator by each monic
-cyclotomic polynomial Phi_d, never by a polynomial gcd, and only the
-reported values are built as `RatFunc`, straight from the reduced pair.
-
-Series quotients a/b are divided in EGF-normalised integer form: the
-x^k/k! coefficient of a/b is N_k / b_0^(k+1), with
-    N_k = a_k b_0^k - sum_{j<k} C(k,j) N_j b_(k-j) b_0^(k-1-j).
+All arithmetic runs on the integer lists of `_intpoly`. Every
+denominator divides a power of t^m - 1 = prod_{d|m} Phi_d, so each value
+is an integer numerator over prod Phi_d^(e_d) with
+G_m = prod_{d|m, d>1} Phi_d. A value is brought to lowest terms by exact
+trial division of the numerator by each monic cyclotomic polynomial
+Phi_d, never by a polynomial gcd, and only the reported values are built
+as `RatFunc`, straight from the reduced pair. Series quotients are
+divided in EGF-normalised integer form (`_intpoly.egf_quotient`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import zip_longest
+from functools import lru_cache, partial
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .congruence import _integer_sides, _times_geometric
-from .poly import Poly, geometric_poly
+from ._intpoly import (add, cyclotomic, divmod_monic, egf_quotient, kernel, mul,
+                       times_binomial, times_geometric, trim)
+from .congruence import _integer_sides
+from .poly import Poly
 from .ratfunc import RatFunc
-
-if TYPE_CHECKING:
-    from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -83,70 +78,7 @@ def _check_nm(n: int, m: int) -> None:
         raise ValueError("m must be >= 1")
 
 
-# -- integer polynomial helpers ---------------------------------------------
-
-
-def _trim(p: list[int]) -> list[int]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _add(p: list[int], q: list[int], c: int = 1) -> list[int]:
-    """p + c*q."""
-    return _trim([a + c * b for a, b in zip_longest(p, q, fillvalue=0)])
-
-
-def _mul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
-    terms = [(j, b) for j, b in enumerate(q) if b]
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in terms:
-                out[i + j] += a * b
-    return out
-
-
-def _divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a monic b, over the integers."""
-    db = len(b) - 1
-    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
-    rem = list(a)
-    quot = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        q = rem[i]
-        if q:
-            quot[i - db] = q
-            for j, c in terms:
-                rem[i - db + j] -= q * c
-    return quot, _trim(rem[:db])
-
-
-def _times_binomial(p: list[int], e: int) -> list[int]:
-    """p * (t^e - 1)."""
-    return _add([0] * e + p, p, -1)
-
-
-def _times_geometric_power(p: list[int], m: int, k: int) -> list[int]:
-    """p * G_m^k for nonzero p, by k running sums."""
-    for _ in range(k):
-        p = _times_geometric(p, m)
-    return p
-
-
-def _cyclotomic(m: int) -> list[list[int]]:
-    """Phi_d for the divisors d of m, ascending, from t^d - 1 = prod_{e|d} Phi_e."""
-    phis: dict[int, list[int]] = {}
-    for d in range(1, m + 1):
-        if m % d == 0:
-            p = [-1] + [0] * (d - 1) + [1]
-            for e, phi in phis.items():
-                if d % e == 0:
-                    p = _divmod_monic(p, phi)[0]
-            phis[d] = p
-    return list(phis.values())
+# -- integer helpers -------------------------------------------------------
 
 
 def _reduce(num: list[int], den: list[int], phis: list[list[int]],
@@ -163,10 +95,10 @@ def _reduce(num: list[int], den: list[int], phis: list[list[int]],
     for phi in phis:
         k = e
         while k:
-            q, r = _divmod_monic(num, phi)
+            q, r = divmod_monic(num, phi)
             if r:
                 break
-            num, den, k = q, _divmod_monic(den, phi)[0], k - 1
+            num, den, k = q, divmod_monic(den, phi)[0], k - 1
         exps.append(k)
     return num, den, exps
 
@@ -180,31 +112,6 @@ def _ints(p: Poly) -> list[int]:
     return [c.numerator for c in p.coeffs]
 
 
-def _egf_quotient(a: list[list[int]], b: list[list[int]], times_b0) -> list[list[int]]:
-    """N_0..N_n with x^k/k! coefficient of a/b equal to N_k / b_0^(k+1).
-
-    a and b hold the x^k/k! coefficients of the two series, and
-    times_b0(p) is p * b_0 (b[0] itself is not read). By Horner in b_0,
-    N_k = (...(a_k b_0 - c_0) b_0 - ... ) b_0 - c_(k-1), with
-    c_j = C(k,j) N_j b_(k-j).
-    """
-    out: list[list[int]] = []
-    for k, acc in enumerate(a):
-        for j in range(k):
-            acc = _add(times_b0(acc), _mul(out[j], b[k - j]), -comb(k, j))
-        out.append(acc)
-    return out
-
-
-def _kernel(c: int, n: int) -> list[list[int]]:
-    """Numerators of 1/(1 - t^c e^(cx)): coefficient k is N_k / (t^c - 1)^(k+1).
-
-    Divides -1 by t^c e^(cx) - 1, whose x^k/k! coefficient is c^k t^c - [k = 0].
-    """
-    b = [_times_binomial([1], c)] + [[0] * c + [c ** k] for k in range(1, n + 1)]
-    return _egf_quotient([[-1]] + [[]] * n, b, lambda p: _times_binomial(p, c))
-
-
 def _binomial_sum(ns: list[list[int]], x: int, times_d) -> list[int]:
     """sum_l C(n,l) x^l ns[n-l] D^l, by Horner in D; times_d(p) is p * D.
 
@@ -214,7 +121,7 @@ def _binomial_sum(ns: list[list[int]], x: int, times_d) -> list[int]:
     n = len(ns) - 1
     acc: list[int] = []
     for l in range(n, -1, -1):
-        acc = _add(times_d(acc), ns[n - l], comb(n, l) * x ** l)
+        acc = add(times_d(acc), ns[n - l], comb(n, l) * x ** l)
     return acc
 
 
@@ -227,21 +134,16 @@ def _ratio_numerators(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]
     the direct form is (1 - t^j e^(jx)) / (1 - t^m e^(mx)), over
     (t^m - 1)^(n+1). Each denominator series is inverted once for all j.
     """
-    def times_g(p: list[int]) -> list[int]:
-        return _times_geometric(p, m) if p else p
-
-    def times_d(p: list[int]) -> list[int]:
-        return _times_binomial(p, m)
-
-    s = [_trim([i ** k for i in range(m)]) for k in range(n + 1)]
-    r = _egf_quotient([[1]] + [[]] * n, s, times_g)  # 1/S_m: r[k] / G_m^(k+1)
-    w = _kernel(m, n)  # 1/(1 - t^m e^(mx)): w[k] / (t^m - 1)^(k+1)
+    times_g, times_d = partial(times_geometric, m=m), partial(times_binomial, e=m)
+    s = [trim([i ** k for i in range(m)]) for k in range(n + 1)]
+    r = egf_quotient([[1]] + [[]] * n, s, times_g)  # 1/S_m: r[k] / G_m^(k+1)
+    w = kernel(m, n)  # 1/(1 - t^m e^(mx)): w[k] / (t^m - 1)^(k+1)
     geometric, direct = [], []
     acc: list[int] = []
     for j in range(m):
         geometric.append(tuple(acc))
-        direct.append(tuple(_add(w[n], [0] * j + _binomial_sum(w, j, times_d), -1)))
-        acc = _add(acc, [0] * j + _binomial_sum(r, j, times_g))
+        direct.append(tuple(add(w[n], [0] * j + _binomial_sum(w, j, times_d), -1)))
+        acc = add(acc, [0] * j + _binomial_sum(r, j, times_g))
     return tuple(geometric), tuple(direct)
 
 
@@ -250,10 +152,8 @@ def _ratio_numerators(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]
 
 def _over_tm_minus_one(num: list[int], m: int, n: int) -> RatFunc:
     """num / (t^m - 1)^(n+1) in lowest terms; t^m - 1 = prod_{d|m} Phi_d."""
-    den = [1]
-    for _ in range(n + 1):
-        den = _times_binomial(den, m)
-    return _ratfunc(*_reduce(num, den, _cyclotomic(m), n + 1)[:2])
+    den = times_binomial([1], m, n + 1)
+    return _ratfunc(*_reduce(num, den, cyclotomic(m), n + 1)[:2])
 
 
 def diff_rational(n: int, m: int) -> RatFunc:
@@ -264,7 +164,7 @@ def diff_rational(n: int, m: int) -> RatFunc:
     """
     _check_nm(n, m)
     lhs, rhs = _integer_sides(n, m)
-    num = _add([m ** (n + 1) * c for c in lhs], rhs, -1)
+    num = add([m ** (n + 1) * c for c in lhs], rhs, -1)
     if n % 2 == 0:  # (1 - t^m)^(n+1) = -(t^m - 1)^(n+1)
         num = [-c for c in num]
     return _over_tm_minus_one(num, m, n)
@@ -274,8 +174,8 @@ def series_difference_coeff(n: int, m: int) -> RatFunc:
     """EGF coefficient n of m/(1 - t^m e^(mx)) - 1/(1 - t e^x)."""
     _check_nm(n, m)
     # m w_m/(t^m - 1)^(n+1) - w_1/(t - 1)^(n+1), and t^m - 1 = (t - 1) G_m.
-    w_m, w_1 = _kernel(m, n)[n], _kernel(1, n)[n]
-    num = _add([m * c for c in w_m], _times_geometric_power(w_1, m, n + 1), -1)
+    w_m, w_1 = kernel(m, n)[n], kernel(1, n)[n]
+    num = add([m * c for c in w_m], times_geometric(w_1, m, n + 1), -1)
     return _over_tm_minus_one(num, m, n)
 
 
@@ -293,30 +193,28 @@ def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
         raise ValueError("ratio term requires 0 <= j < m")
     geometric, direct = _ratio_numerators(m, n)
     num = list(geometric[j])
-    lifted = num
-    for _ in range(n + 1):  # G_m^(n+1) (t - 1)^(n+1) = (t^m - 1)^(n+1)
-        lifted = _times_binomial(lifted, 1)
-    if lifted != list(direct[j]):
+    # G_m^(n+1) (t - 1)^(n+1) = (t^m - 1)^(n+1)
+    if times_binomial(num, 1, n + 1) != list(direct[j]):
         raise ArithmeticError(
             f"ratio forms disagree at j={j}, m={m}, n={n}: arithmetic bug"
         )
-    num, den, exps = _reduce(num, _times_geometric_power([1], m, n + 1),
-                             _cyclotomic(m)[1:], n + 1)
+    num, den, exps = _reduce(num, times_geometric([1], m, n + 1),
+                             cyclotomic(m)[1:], n + 1)
     k = max(exps, default=0)
-    exponent = None if _divmod_monic(_times_geometric_power([1], m, k), den)[1] else k
+    exponent = None if divmod_monic(times_geometric([1], m, k), den)[1] else k
     return _ratfunc(num, den), exponent
 
 
 def _telescopes(per_j: tuple[RatioTerm, ...], series_value: RatFunc, m: int, n: int) -> bool:
     """Do the per-j values, brought over G_m^(n+1), add up to the series value?"""
-    top = _times_geometric_power([1], m, n + 1)
+    top = times_geometric([1], m, n + 1)
     total: list[int] = []
     for term in per_j:
-        cofactor, rem = _divmod_monic(top, _ints(term.value.den))
+        cofactor, rem = divmod_monic(top, _ints(term.value.den))
         if rem:
             return False
-        total = _add(total, _mul(_ints(term.value.num), cofactor))
-    return _ratfunc(*_reduce(total, top, _cyclotomic(m)[1:], n + 1)[:2]) == series_value
+        total = add(total, mul(_ints(term.value.num), cofactor))
+    return _ratfunc(*_reduce(total, top, cyclotomic(m)[1:], n + 1)[:2]) == series_value
 
 
 def full_trace(n: int, m: int) -> TraceReport:
@@ -345,21 +243,3 @@ def full_trace(n: int, m: int) -> TraceReport:
         **checks,
     )
 
-
-def xp_decompose(m: int, order: int) -> tuple[Poly, TruncatedSeries]:
-    """Split sum_j t^j e^(jx) as (1 + t + ... + t^(m-1)) + x * P(t, x).
-
-    Returns the constant part and P (order reduced by one); every
-    coefficient of P is a polynomial in t.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if order < 1:
-        raise ValueError("order must be >= 1 to expose the x-tail")
-    from .series import TruncatedSeries, geometric_exp_sum
-
-    s = geometric_exp_sum(m, order)
-    constant = s.coeffs[0]
-    if constant != geometric_poly(m):
-        raise ArithmeticError("constant term is not the geometric polynomial")
-    return constant, TruncatedSeries(s.coeffs[1:])

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -77,16 +77,51 @@ def test_bruteforce_cap():
         eulerian_bruteforce(10)
 
 
+def stirling2_rows(n_max: int) -> list[list[int]]:
+    """S(n, k) for n <= n_max, by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    return rows
+
+
+def frobenius(n: int, stirling: list[list[int]]) -> tuple[int, ...]:
+    """A_n(t) = t * sum_k k! S(n,k) (t-1)^(n-k) (Frobenius), with A_0 = 1."""
+    if n == 0:
+        return (1,)
+    coeffs = [0] * (n + 1)
+    for k in range(1, n + 1):
+        c, e = factorial(k) * stirling[n][k], n - k
+        for j in range(e + 1):  # (t-1)^e = sum_j C(e,j) (-1)^(e-j) t^j
+            coeffs[j + 1] += c * comb(e, j) * (-1) ** (e - j)
+    return tuple(coeffs)
+
+
+def test_frobenius_formula_matches_recurrence_and_gf():
+    # A fourth construction, through Stirling numbers of the second kind.
+    stirling = stirling2_rows(64)
+    for n in range(65):
+        a = frobenius(n, stirling)
+        assert a == eulerian_row(n)
+        assert eulerian_from_gf(n).poly == Poly(a)
+
+
 def test_worpitzky_examples():
     assert worpitzky_row(1, 4) == [0, 1, 2, 3, 4]
     assert worpitzky_row(2, 4) == [0, 1, 4, 9, 16]
     assert worpitzky_row(0, 3) == [1, 1, 1, 1]
+    # K < n: fewer terms than A_n has coefficients.
+    assert worpitzky_row(5, 2) == [0, 1, 32]
+    assert worpitzky_row(5, 0) == [0]
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(31))
 def test_worpitzky_power_row(n):
-    expected = [Fraction(k**n) for k in range(13)]  # 0^0 = 1
-    assert worpitzky_row(n, 12) == expected
+    for K in range(41):
+        row = worpitzky_row(n, K)
+        assert row == [Fraction(k**n) for k in range(K + 1)]  # 0^0 = 1
+        assert all(isinstance(c, Fraction) for c in row)
 
 
 def test_negative_n_rejected():

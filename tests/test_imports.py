@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,40 @@ print(json.dumps(sorted(k for k in sys.modules
                         if k.split(".")[0] in ("eulercong", "concurrent"))))
 """
 
-CORE = ["eulercong", "eulercong.cli", "eulercong.congruence",
+CORE = ["eulercong", "eulercong._intpoly", "eulercong.cli", "eulercong.congruence",
         "eulercong.eulerian", "eulercong.poly"]
+
+# Every public name of the package's API: the names of `__all__`, and the
+# public functions that stay importable from their own submodule only.
+PUBLIC = {
+    "CongruenceReport": "congruence",
+    "congruence_sides": "congruence",
+    "report_from_sides": "congruence",
+    "verify_congruence": "congruence",
+    "EulerianPoly": "eulerian",
+    "eulerian_bruteforce": "eulerian",
+    "eulerian_from_gf": "eulerian",
+    "eulerian_recurrence": "eulerian",
+    "worpitzky_row": "eulerian",
+    "Poly": "poly",
+    "exact_div": "poly",
+    "geometric_poly": "poly",
+    "poly_gcd": "poly",
+    "remainder_mod_shift_power": "poly",
+    "shifted_basis_coeffs": "poly",
+    "RatioTerm": "prooftrace",
+    "TraceReport": "prooftrace",
+    "diff_rational": "prooftrace",
+    "full_trace": "prooftrace",
+    "ratio_coeff": "prooftrace",
+    "series_difference_coeff": "prooftrace",
+    "RatFunc": "ratfunc",
+    "TruncatedSeries": "series",
+    "constant_series": "series",
+    "geometric_exp_sum": "series",
+    "lift_to_ratfunc": "series",
+    "scaled_exp": "series",
+}
 
 
 def loaded_after(code: str) -> list[str]:
@@ -59,6 +92,16 @@ def test_verify_loads_no_prooftrace():
     assert loaded_after(run_main("verify", "--n", "3", "--m", "2")) == CORE
 
 
+def test_gf_method_loads_only_the_core():
+    assert loaded_after(run_main("eulerian", "--n", "5", "--method", "gf")) == CORE
+
+
+def test_eulerian_module_loads_no_trace_or_series():
+    loaded = loaded_after("import eulercong.eulerian")
+    for name in ("eulercong.prooftrace", "eulercong.series", "eulercong.ratfunc"):
+        assert name not in loaded
+
+
 def test_trace_loads_no_pool():
     loaded = loaded_after(run_main("trace", "--n", "2", "--m", "2"))
     assert loaded == sorted(CORE + ["eulercong.prooftrace", "eulercong.ratfunc"])
@@ -71,11 +114,13 @@ def test_parallel_verify_loads_the_pool():
     assert "eulercong.prooftrace" not in loaded
 
 
-@pytest.mark.parametrize("name", eulercong.__all__)
+@pytest.mark.parametrize("name", sorted(set(PUBLIC) | set(eulercong.__all__)))
 def test_every_public_name_resolves(name):
-    value = getattr(eulercong, name)
+    value = getattr(import_module(f"eulercong.{PUBLIC[name]}"), name)
     assert getattr(value, "__name__", name) == name
-    assert name in dir(eulercong)
+    if name in eulercong.__all__:
+        assert getattr(eulercong, name) is value
+        assert name in dir(eulercong)
 
 
 def test_star_import_binds_exactly_all():

@@ -8,7 +8,6 @@ from eulercong.poly import (
     Poly,
     exact_div,
     geometric_poly,
-    parse_poly,
     poly_gcd,
     remainder_mod_shift_power,
     shifted_basis_coeffs,
@@ -148,17 +147,6 @@ def test_render():
     assert str(Poly([0, 1, 4, 1])) == "t + 4*t^2 + t^3"
     assert str(Poly()) == "0"
     assert str(Poly([Fraction(-1, 4), 0, Fraction(1, 2)])) == "-1/4 + 1/2*t^2"
-
-
-def test_parse_roundtrip():
-    for p in [Poly([0, 1, 4, 1]), Poly([Fraction(-1, 4), 0, 2]), Poly([5]),
-              Poly([0, -1]), Poly()]:
-        assert parse_poly(str(p)) == p
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_poly("t + banana")
 
 
 @given(polys, polys)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trace_oracle
-from eulercong import congruence, poly, prooftrace, ratfunc
+from eulercong import _intpoly, congruence, poly, prooftrace, ratfunc
 from eulercong.eulerian import eulerian_recurrence
 from eulercong.poly import Poly, geometric_poly
 from eulercong.prooftrace import (
@@ -13,7 +13,6 @@ from eulercong.prooftrace import (
     full_trace,
     ratio_coeff,
     series_difference_coeff,
-    xp_decompose,
 )
 from eulercong.ratfunc import RF_ZERO, RatFunc
 from eulercong.series import constant_series, scaled_exp
@@ -76,20 +75,6 @@ def test_denominator_divides_geometric_power(n, m):
         if m > 1:
             _, rem = divmod(geometric_poly(m) ** (n + 1), value.den)
             assert rem.is_zero
-
-
-def test_xp_decompose_examples():
-    constant, p = xp_decompose(1, 2)
-    assert constant == Poly([1])
-    assert all(c.is_zero for c in p.coeffs)
-
-    constant, p = xp_decompose(2, 2)
-    assert constant == Poly([1, 1])
-    assert p.coeffs == (Poly([0, 1]), Poly([0, Fraction(1, 2)]))
-
-    constant, p = xp_decompose(3, 1)
-    assert constant == Poly([1, 1, 1])
-    assert p.coeffs == (Poly([0, 1, 2]),)
 
 
 def test_full_trace_n1_m2():
@@ -218,7 +203,7 @@ def test_divisor_exponent_is_checked_by_division(monkeypatch):
 
     def stray_factor(num, den, phis, e):
         num, den, exps = real(num, den, phis, e)
-        return num, prooftrace._times_binomial(den, 1), exps
+        return num, _intpoly.times_binomial(den, 1), exps
 
     monkeypatch.setattr(prooftrace, "_reduce", stray_factor)
     assert ratio_coeff(1, 3, 2)[1] is None
