@@ -5,7 +5,14 @@ mathematical check (trace also names the failed proof checks in one
 stderr line, `eulercong: trace check failed: <names>`), 2 usage or
 validation error, 3 internal error (an arithmetic invariant of the
 package broke, or a `--parallel` worker died; one line on stderr and
-nothing on stdout).
+nothing on stdout), 130 interrupted by Ctrl-C (SIGINT; one line
+`eulercong: interrupted` on stderr and nothing on stdout).
+
+verify renders each pair where it is computed and keeps only the output
+text, which it writes once at the end, so its memory is bounded by the
+output. `--parallel` sends one grid row per task to the pool; on SIGINT
+its workers finish their current row and the rows not yet started are
+cancelled.
 
 Each subcommand imports only what it runs: `eulerian` (every method)
 and `verify` load `cli`, `congruence`, `eulerian`, `_intpoly` and
@@ -189,36 +196,58 @@ def _cmd_verify(args, parser) -> int:
     grid = _verify_grid(args, parser)
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
+    tasks = [(n, m, args.format) for n, m in grid]
     if args.parallel > 1 and len(grid) > 1:
         workers = min(args.parallel, len(grid), os.cpu_count() or 1)
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_verify_pair, grid))
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_ignore_sigint) as pool:
+                results = list(pool.map(_render_pair, tasks, chunksize=args.m_max))
         except BrokenProcessPool as exc:  # a worker died
             return _internal_error(exc)
     else:
-        reports = [verify_congruence(n, m) for n, m in grid]
+        results = [_render_pair(task) for task in tasks]
 
+    holds, texts = zip(*results)
     if args.format == "json":
-        print(dump_json([report_json(r) for r in reports]))
-    elif args.format == "latex":
-        for r in reports:
-            status = "\\checkmark" if r.holds else "\\times"
-            print(
-                f"A_{{{r.n}}}(t^{{{r.m}}}) \\equiv {poly_latex(r.rhs)}"
-                f" \\pmod{{(t-1)^{{{r.n + 1}}}}} \\quad {status}"
-            )
+        print("[\n" + ",\n".join(texts) + "\n]")
     else:
-        for r in reports:
-            print(f"n={r.n} m={r.m} holds={str(r.holds).lower()} "
-                  f"remainder={r.remainder}")
-    return 0 if all(r.holds for r in reports) else 1
+        print("\n".join(texts))
+    return 0 if all(holds) else 1
 
 
-def _verify_pair(nm: tuple[int, int]) -> CongruenceReport:
-    return verify_congruence(*nm)
+def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
+    """Verify one (n, m) pair and render its output in format `fmt`.
+
+    The report is dropped here, so a grid holds only its output text and
+    a pool worker sends back a string, not a Fraction certificate. A JSON
+    pair is rendered as an element of the grid's array.
+    """
+    n, m, fmt = task
+    r = verify_congruence(n, m)
+    if fmt == "json":
+        text = "  " + dump_json(report_json(r)).replace("\n", "\n  ")
+    elif fmt == "latex":
+        status = "\\checkmark" if r.holds else "\\times"
+        text = (f"A_{{{r.n}}}(t^{{{r.m}}}) \\equiv {poly_latex(r.rhs)}"
+                f" \\pmod{{(t-1)^{{{r.n + 1}}}}} \\quad {status}")
+    else:
+        text = (f"n={r.n} m={r.m} holds={str(r.holds).lower()} "
+                f"remainder={r.remainder}")
+    return r.holds, text
+
+
+def _ignore_sigint() -> None:
+    """Pool initializer: a worker ignores Ctrl-C and finishes its chunk.
+
+    The parent alone handles SIGINT; `Executor.map` then cancels the
+    chunks not yet started.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 # The pool and the proof trace are imported on first call, so a process
@@ -276,6 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return commands[args.command](args, parser)
     except ArithmeticError as exc:
         return _internal_error(exc)
+    except KeyboardInterrupt:
+        print("eulercong: interrupted", file=sys.stderr)
+        return 130
 
 
 def _internal_error(exc: Exception) -> int:

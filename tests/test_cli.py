@@ -1,5 +1,10 @@
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -174,10 +179,13 @@ def test_trace_at_caps_accepted(capsys):
 def test_parallel_workers_bounded(capsys, monkeypatch):
     # A fake pool records its size and runs the grid serially: no fork.
     sizes = []
+    initializers = []
+    chunksizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
+            initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -185,7 +193,8 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
+            chunksizes.append(chunksize)
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
@@ -193,6 +202,8 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
                        "--format", "json", "--parallel", "100000")
     assert code == 0
     assert sizes == [min(2, os.cpu_count() or 1)]
+    assert chunksizes == [2]  # one grid row per task
+    assert initializers == [cli._ignore_sigint]
     code, seq, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
                        "--format", "json")
     assert par == seq
@@ -219,7 +230,7 @@ def test_dead_pool_worker_exits_3(capsys, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
     class DeadPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             pass
 
         def __enter__(self):
@@ -228,7 +239,7 @@ def test_dead_pool_worker_exits_3(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
             raise BrokenProcessPool("a worker process died")
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
@@ -237,3 +248,95 @@ def test_dead_pool_worker_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "eulercong: internal error: a worker process died\n"
+
+
+class InlinePool:
+    """A pool that runs `map` in this process, lazily, as Executor.map does."""
+
+    def __init__(self, max_workers, initializer):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+class InterruptedPool(InlinePool):
+    def map(self, fn, items, chunksize):
+        raise KeyboardInterrupt
+
+
+def _raise_interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("pool,argv", [
+    (InterruptedPool, ["--parallel", "2"]),
+    (None, []),
+])
+def test_interrupted_verify_exits_130(capsys, monkeypatch, pool, argv):
+    if pool:
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    else:
+        monkeypatch.setattr(cli, "verify_congruence", _raise_interrupt)
+    code, out, err = run(capsys, "verify", "--n-max", "1", "--m-max", "2", *argv)
+    assert code == 130
+    assert out == ""
+    assert err == "eulercong: interrupted\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["--parallel", "2"]])
+def test_grid_failing_part_way_writes_nothing(capsys, monkeypatch, argv):
+    # Pairs before (2, 1) are already rendered when it fails; none is written.
+    verify = congruence.verify_congruence
+
+    def fail_at_2_1(n, m):
+        if (n, m) == (2, 1):
+            raise ArithmeticError("inexact polynomial division: remainder 1")
+        return verify(n, m)
+
+    monkeypatch.setattr(cli, "verify_congruence", fail_at_2_1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    code, out, err = run(capsys, "verify", "--n-max", "2", "--m-max", "3", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "eulercong: internal error: inexact polynomial division: remainder 1\n"
+
+
+def test_sigint_to_parallel_verify_exits_130_and_leaves_no_process():
+    # The CLI runs in its own session, so SIGINT goes to it and its two
+    # pool workers, as Ctrl-C in a terminal does. A process started with
+    # SIGINT ignored keeps ignoring it, so the entry restores the default
+    # handler first: this test may itself run with SIGINT ignored.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    entry = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+             "from eulercong.cli import main; sys.exit(main())")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", entry, "verify", "--n-max", "64", "--m-max", "64",
+         "--parallel", "2"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    pgid = proc.pid
+    try:
+        time.sleep(1)
+        os.killpg(pgid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 130
+        assert err == "eulercong: interrupted\n"
+        assert out == ""
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pgid, 0)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()

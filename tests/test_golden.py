@@ -40,3 +40,10 @@ def test_parallel_json_equals_serial(capsys):
     argv = [*RUNS["verify-grid-6x5"], "--format", "json"]
     serial = output(capsys, argv)
     assert output(capsys, [*argv, "--parallel", "2"]) == serial
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex"])  # json: the test above
+def test_real_pool_output_equals_serial(capsys, fmt):
+    argv = [*RUNS["verify-grid-6x5"], "--format", fmt]
+    serial = output(capsys, argv)
+    assert output(capsys, [*argv, "--parallel", "2"]) == serial
