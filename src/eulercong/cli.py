@@ -12,21 +12,25 @@ verify renders each pair where it is computed and keeps only the output
 text, which it writes once at the end, so its memory is bounded by the
 output. `--parallel` sends one grid row per task to the pool; on SIGINT
 its workers finish their current row and the rows not yet started are
-cancelled.
+cancelled. A JSON pair is written from the report's integer certificate:
+each coefficient is its numerator over the report's common denominator,
+reduced by one gcd, so no `Fraction` is built. `dump_json` is the one
+indented writer of every subcommand and gives the bytes of
+`json.dumps(obj, indent=2)`.
 
 Each subcommand imports only what it runs: `eulerian` (every method)
 and `verify` load `cli`, `congruence`, `eulerian`, `_intpoly` and
 `poly`; `trace` adds `prooftrace` and `ratfunc`; only
 `verify --parallel W` with W >= 2 (on a grid of two or more pairs)
-loads `concurrent.futures`.
+loads `concurrent.futures`. None loads `dataclasses` or `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .congruence import verify_congruence
@@ -74,15 +78,21 @@ def ratfunc_json(r: RatFunc) -> dict:
     return {"num": coeff_list(r.num), "den": coeff_list(r.den)}
 
 
+def _fraction_strs(nums: list[int], den: int) -> list[str]:
+    """str(Fraction(c, den)) for each c, without building the Fractions."""
+    return [str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}"
+            for c in nums]
+
+
 def report_json(rep: CongruenceReport) -> dict:
     return {
         "n": rep.n,
         "m": rep.m,
         "holds": rep.holds,
-        "lhs": coeff_list(rep.lhs),
-        "rhs": coeff_list(rep.rhs),
-        "remainder": coeff_list(rep.remainder),
-        "cofactor": coeff_list(rep.cofactor),
+        "lhs": _fraction_strs(rep.lhs_num, rep.den),
+        "rhs": _fraction_strs(rep.rhs_num, rep.den),
+        "remainder": _fraction_strs(rep.remainder_num, rep.den),
+        "cofactor": _fraction_strs(rep.cofactor_num, rep.den),
     }
 
 
@@ -104,8 +114,23 @@ def trace_json(rep: TraceReport) -> dict:
     }
 
 
-def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2)
+def dump_json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2), with `indent` opening each line after the first.
+
+    Covers what the CLI writes: dicts, lists, ints, bools, None, and
+    strings (keys too) that JSON writes unescaped, such as "-1/4".
+    """
+    if isinstance(obj, str):
+        return f'"{obj}"'
+    if not obj or not isinstance(obj, (dict, list)):
+        # None, and ints, bools, [] and {} as str() writes them, lowered.
+        return "null" if obj is None else str(obj).lower()
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f'"{k}": {dump_json(v, inner)}' for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = [f'"{v}"' if isinstance(v, str) else dump_json(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 # -- argument parsing ---------------------------------------------------
@@ -228,7 +253,7 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
     n, m, fmt = task
     r = verify_congruence(n, m)
     if fmt == "json":
-        text = "  " + dump_json(report_json(r)).replace("\n", "\n  ")
+        text = "  " + dump_json(report_json(r), "\n  ")
     elif fmt == "latex":
         status = "\\checkmark" if r.holds else "\\times"
         text = (f"A_{{{r.n}}}(t^{{{r.m}}}) \\equiv {poly_latex(r.rhs)}"
@@ -298,10 +323,10 @@ def _cmd_trace(args, parser) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     commands = {"eulerian": _cmd_eulerian, "verify": _cmd_verify, "trace": _cmd_trace}
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         return commands[args.command](args, parser)
     except ArithmeticError as exc:
         return _internal_error(exc)

@@ -4,82 +4,90 @@ Checks A_n(t^m) == ((1 + t + ... + t^(m-1))/m)^(n+1) * A_n(t)
 modulo (t-1)^(n+1), over the rationals, and records a full audit
 certificate for every check.
 
-All arithmetic runs on the integer lists of `_intpoly`: the difference
-of the two sides is cleared of denominators, divided by (t-1) n+1
-times, and only the report's fields are built as rational `Poly` values.
+All arithmetic runs on the integer lists of `_intpoly`. The only true
+rational is the scale 1/m^(n+1), so a report keeps its certificate as
+integer numerator lists over one positive common denominator `den`
+(m^(n+1) in `verify_congruence`): the difference of the two sides is
+divided by (t-1) n+1 times, and the rational `Poly` fields are built
+only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from ._intpoly import add, divide_by_shift, from_shift_basis, times_geometric, trim
 from .eulerian import eulerian_row
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+def _over(nums: list[int], den: int) -> Poly:
+    return Poly([Fraction(c, den) for c in nums])
+
+
+class CongruenceReport(NamedTuple):
+    """The congruence at (n, m) and its certificate, each part over `den`.
+
+    lhs - rhs == difference == cofactor * (t-1)^(n+1) + remainder, and
+    holds is whether the remainder is zero. Each `*_num` list holds
+    the integer numerators of the ascending coefficients of its part.
+    """
+
     n: int
     m: int
-    lhs: Poly
-    rhs: Poly
-    difference: Poly
-    remainder: Poly
-    cofactor: Poly
     holds: bool
+    den: int
+    lhs_num: list[int]
+    rhs_num: list[int]
+    difference_num: list[int]
+    remainder_num: list[int]
+    cofactor_num: list[int]
 
-
-def _cleared(p: Poly, scale: int) -> list[int]:
-    """scale * p as integers; scale is a multiple of every denominator of p."""
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
-
-
-def _scaled(cs: list[int], scale: int) -> Poly:
-    return Poly([Fraction(c, scale) for c in cs])
+    lhs = property(lambda r: _over(r.lhs_num, r.den))
+    rhs = property(lambda r: _over(r.rhs_num, r.den))
+    difference = property(lambda r: _over(r.difference_num, r.den))
+    remainder = property(lambda r: _over(r.remainder_num, r.den))
+    cofactor = property(lambda r: _over(r.cofactor_num, r.den))
 
 
 def _integer_sides(n: int, m: int) -> tuple[list[int], list[int]]:
-    """A_n(t^m) and geometric(m)^(n+1) * A_n(t) as integer lists.
-
-    The right side of the congruence is the second list over m^(n+1).
-    """
+    """m^(n+1) A_n(t^m) and G_m^(n+1) A_n(t): both sides over m^(n+1)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     a = eulerian_row(n)
+    scale = m ** (n + 1)
     lhs = [0] * ((len(a) - 1) * m + 1)
-    lhs[::m] = a
+    lhs[::m] = [scale * c for c in a]
     return lhs, times_geometric(list(a), m, n + 1)
 
 
 def congruence_sides(n: int, m: int) -> tuple[Poly, Poly]:
     """(A_n(t^m), geometric(m)^(n+1) * A_n(t) / m^(n+1)), both exact."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     lhs, rhs = _integer_sides(n, m)
-    return Poly(lhs), _scaled(rhs, m ** (n + 1))
+    return _over(lhs, m ** (n + 1)), _over(rhs, m ** (n + 1))
+
+
+def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> CongruenceReport:
+    """Reduce (lhs - rhs)/den modulo (t-1)^(n+1) and assemble the certificate."""
+    difference = add(lhs, rhs, -1)
+    cofactor, taylor = divide_by_shift(difference, n + 1)
+    trim(taylor)
+    return CongruenceReport(n, m, not taylor, den, lhs, rhs, difference,
+                            from_shift_basis(taylor), cofactor)
+
+
+def _cleared(p: Poly, den: int) -> list[int]:
+    """den * p as integers; den is a multiple of every denominator of p."""
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
 def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:
-    """Reduce lhs - rhs modulo (t-1)^(n+1) and assemble the certificate."""
-    scale = lcm(*(c.denominator for c in lhs.coeffs + rhs.coeffs))
-    difference = add(_cleared(lhs, scale), _cleared(rhs, scale), -1)
-    cofactor, taylor = divide_by_shift(difference, n + 1)
-    trim(taylor)
-    return CongruenceReport(
-        n=n,
-        m=m,
-        lhs=lhs,
-        rhs=rhs,
-        difference=_scaled(difference, scale),
-        remainder=_scaled(from_shift_basis(taylor), scale),
-        cofactor=_scaled(cofactor, scale),
-        holds=not taylor,
-    )
+    """The certificate for two given sides, over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in lhs.coeffs + rhs.coeffs))
+    return _certify(n, m, _cleared(lhs, den), _cleared(rhs, den), den)
 
 
 def verify_congruence(n: int, m: int) -> CongruenceReport:
-    lhs, rhs = congruence_sides(n, m)
-    return report_from_sides(n, m, lhs, rhs)
+    return _certify(n, m, *_integer_sides(n, m), m ** (n + 1))

@@ -9,9 +9,9 @@ package verifies is false under the other convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations
+from typing import NamedTuple
 
 from ._intpoly import kernel
 from .poly import Poly
@@ -19,14 +19,9 @@ from .poly import Poly
 BRUTEFORCE_CAP = 9
 
 
-@dataclass(frozen=True)
-class EulerianPoly:
+class EulerianPoly(NamedTuple):
     n: int
     poly: Poly
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
 
 
 # Rows of A_n as integer coefficient tuples, ascending; row n is A_n.

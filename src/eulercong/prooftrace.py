@@ -28,11 +28,10 @@ divided in EGF-normalised integer form (`_intpoly.egf_quotient`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._intpoly import (add, cyclotomic, divmod_monic, egf_quotient, kernel, mul,
                        times_binomial, times_geometric, trim)
@@ -41,8 +40,7 @@ from .poly import Poly
 from .ratfunc import RatFunc
 
 
-@dataclass(frozen=True)
-class RatioTerm:
+class RatioTerm(NamedTuple):
     j: int
     value: RatFunc
     divisor_exponent: Optional[int]
@@ -52,8 +50,7 @@ class RatioTerm:
 CHECKS = ("diff_equals_series", "telescopes", "den_nonzero_at_one", "divisors_bounded")
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(NamedTuple):
     n: int
     m: int
     diff_value: RatFunc
@@ -163,8 +160,7 @@ def diff_rational(n: int, m: int) -> RatFunc:
     the cleared difference of the two sides of the congruence.
     """
     _check_nm(n, m)
-    lhs, rhs = _integer_sides(n, m)
-    num = add([m ** (n + 1) * c for c in lhs], rhs, -1)
+    num = add(*_integer_sides(n, m), -1)
     if n % 2 == 0:  # (1 - t^m)^(n+1) = -(t^m - 1)^(n+1)
         num = [-c for c in num]
     return _over_tm_minus_one(num, m, n)

@@ -290,6 +290,14 @@ def test_interrupted_verify_exits_130(capsys, monkeypatch, pool, argv):
     assert err == "eulercong: interrupted\n"
 
 
+def test_interrupt_during_argument_parsing_exits_130(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", _raise_interrupt)
+    code, out, err = run(capsys, "verify", "--n", "1", "--m", "2")
+    assert code == 130
+    assert out == ""
+    assert err == "eulercong: interrupted\n"
+
+
 @pytest.mark.parametrize("argv", [[], ["--parallel", "2"]])
 def test_grid_failing_part_way_writes_nothing(capsys, monkeypatch, argv):
     # Pairs before (2, 1) are already rendered when it fails; none is written.

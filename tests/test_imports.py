@@ -4,7 +4,7 @@ Each check runs in a fresh interpreter, because this test process has
 already imported every module. Nothing here measures time.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -17,13 +17,11 @@ import eulercong
 
 SRC = str(Path(eulercong.__file__).resolve().parent.parent)
 
-# Prints the loaded eulercong and concurrent.futures modules after `code`.
+# Prints the loaded modules under the packages `roots` after `code`.
 PROBE = """
-import json
 import sys
 {code}
-print(json.dumps(sorted(k for k in sys.modules
-                        if k.split(".")[0] in ("eulercong", "concurrent"))))
+print(sorted(k for k in sys.modules if k.split(".")[0] in {roots!r}))
 """
 
 CORE = ["eulercong", "eulercong._intpoly", "eulercong.cli", "eulercong.congruence",
@@ -62,14 +60,14 @@ PUBLIC = {
 }
 
 
-def loaded_after(code: str) -> list[str]:
+def loaded_after(code: str, roots: tuple = ("eulercong", "concurrent")) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(code=code)],
+        [sys.executable, "-c", PROBE.format(code=code, roots=roots)],
         env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def run_main(*argv: str) -> str:
@@ -112,6 +110,15 @@ def test_parallel_verify_loads_the_pool():
                                    "--parallel", "2"))
     assert "concurrent.futures.process" in loaded
     assert "eulercong.prooftrace" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--m", "2", "--format", "json"],
+    ["trace", "--n", "2", "--m", "2", "--format", "json"],
+    ["eulerian", "--n", "5", "--method", "gf", "--format", "json"],
+])
+def test_subcommands_load_no_dataclasses_inspect_or_json(argv):
+    assert loaded_after(run_main(*argv), ("dataclasses", "inspect", "json")) == []
 
 
 @pytest.mark.parametrize("name", sorted(set(PUBLIC) | set(eulercong.__all__)))
