@@ -4,12 +4,16 @@ A polynomial in t is a list of Python ints, ascending: index i is the
 coefficient of t^i. Results are trimmed (no trailing zeros, [] for the
 zero polynomial) unless a docstring says otherwise, and only `trim`
 changes its argument.
+
+`render` and `fraction_strs` are the package's only formatters of
+polynomials and coefficients: a rational polynomial is written from its
+integer numerators over one positive denominator.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, zip_longest
-from math import comb
+from math import comb, gcd
 from operator import sub
 
 
@@ -129,3 +133,30 @@ def kernel(c: int, n: int) -> list[list[int]]:
     """
     b = [times_binomial([1], c)] + [[0] * c + [c ** k] for k in range(1, n + 1)]
     return egf_quotient([[-1]] + [[]] * n, b, lambda p: times_binomial(p, c))
+
+
+def fraction_strs(nums: list[int], den: int) -> list[str]:
+    """str(Fraction(c, den)) for each c, without building the Fractions."""
+    return [str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}"
+            for c in nums]
+
+
+def render(nums: list[int], den: int = 1, latex: bool = False) -> str:
+    r"""The nonzero terms of sum_i (nums[i]/den) t^i in ascending degree; den > 0.
+
+    Plain gives '-1/4 + 1/2*t^2' and latex '-\frac{1}{4} + \frac{1}{2}t^{2}'.
+    A coefficient of magnitude 1 is left out before t, and zero is '0'.
+    """
+    parts: list[str] = []
+    for i, c in enumerate(nums):
+        if not c:
+            continue
+        g = gcd(c, den)
+        a, b = abs(c) // g, den // g
+        term = str(a) if b == 1 else f"\\frac{{{a}}}{{{b}}}" if latex else f"{a}/{b}"
+        if i:
+            var = "t" if i == 1 else f"t^{{{i}}}" if latex else f"t^{i}"
+            term = var if a == b else term + ("" if latex else "*") + var
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + term)
+    return " ".join(parts) or "0"

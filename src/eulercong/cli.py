@@ -12,11 +12,12 @@ verify renders each pair where it is computed and keeps only the output
 text, which it writes once at the end, so its memory is bounded by the
 output. `--parallel` sends one grid row per task to the pool; on SIGINT
 its workers finish their current row and the rows not yet started are
-cancelled. A JSON pair is written from the report's integer certificate:
-each coefficient is its numerator over the report's common denominator,
-reduced by one gcd, so no `Fraction` is built. `dump_json` is the one
-indented writer of every subcommand and gives the bytes of
-`json.dumps(obj, indent=2)`.
+cancelled. Every format of a verify pair is written from the report's
+integer certificate, its numerators over one common denominator, by
+`_intpoly.render` (plain and latex) or `_intpoly.fraction_strs` (json),
+so no `Poly` or `Fraction` is built. Those two are also what every
+`Poly` prints through. `dump_json` is the one indented writer of every
+subcommand and gives the bytes of `json.dumps(obj, indent=2)`.
 
 Each subcommand imports only what it runs: `eulerian` (every method)
 and `verify` load `cli`, `congruence`, `eulerian`, `_intpoly` and
@@ -30,15 +31,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ._intpoly import fraction_strs, render
 from .congruence import verify_congruence
 from .eulerian import eulerian_bruteforce, eulerian_from_gf, eulerian_recurrence
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .congruence import CongruenceReport
     from .poly import Poly
     from .prooftrace import TraceReport
@@ -66,22 +65,8 @@ def coeff_list(p: Poly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def _latex_scalar(c: Fraction) -> str:
-    return str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
-
-
-def poly_latex(p: Poly) -> str:
-    return p.render(_latex_scalar, "t^{{{}}}", "")
-
-
 def ratfunc_json(r: RatFunc) -> dict:
     return {"num": coeff_list(r.num), "den": coeff_list(r.den)}
-
-
-def _fraction_strs(nums: list[int], den: int) -> list[str]:
-    """str(Fraction(c, den)) for each c, without building the Fractions."""
-    return [str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}"
-            for c in nums]
 
 
 def report_json(rep: CongruenceReport) -> dict:
@@ -89,10 +74,10 @@ def report_json(rep: CongruenceReport) -> dict:
         "n": rep.n,
         "m": rep.m,
         "holds": rep.holds,
-        "lhs": _fraction_strs(rep.lhs_num, rep.den),
-        "rhs": _fraction_strs(rep.rhs_num, rep.den),
-        "remainder": _fraction_strs(rep.remainder_num, rep.den),
-        "cofactor": _fraction_strs(rep.cofactor_num, rep.den),
+        "lhs": fraction_strs(rep.lhs_num, rep.den),
+        "rhs": fraction_strs(rep.rhs_num, rep.den),
+        "remainder": fraction_strs(rep.remainder_num, rep.den),
+        "cofactor": fraction_strs(rep.cofactor_num, rep.den),
     }
 
 
@@ -189,7 +174,7 @@ def _cmd_eulerian(args, parser) -> int:
     if args.format == "plain":
         print(ep.poly)
     elif args.format == "latex":
-        print(f"A_{{{ep.n}}}(t) = {poly_latex(ep.poly)}")
+        print(f"A_{{{ep.n}}}(t) = {ep.poly.render(latex=True)}")
     else:
         print(dump_json({
             "n": ep.n,
@@ -247,8 +232,8 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
     """Verify one (n, m) pair and render its output in format `fmt`.
 
     The report is dropped here, so a grid holds only its output text and
-    a pool worker sends back a string, not a Fraction certificate. A JSON
-    pair is rendered as an element of the grid's array.
+    a pool worker sends back a string, not a certificate. A JSON pair is
+    rendered as an element of the grid's array.
     """
     n, m, fmt = task
     r = verify_congruence(n, m)
@@ -256,11 +241,12 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
         text = "  " + dump_json(report_json(r), "\n  ")
     elif fmt == "latex":
         status = "\\checkmark" if r.holds else "\\times"
-        text = (f"A_{{{r.n}}}(t^{{{r.m}}}) \\equiv {poly_latex(r.rhs)}"
+        rhs = render(r.rhs_num, r.den, latex=True)
+        text = (f"A_{{{r.n}}}(t^{{{r.m}}}) \\equiv {rhs}"
                 f" \\pmod{{(t-1)^{{{r.n + 1}}}}} \\quad {status}")
     else:
         text = (f"n={r.n} m={r.m} holds={str(r.holds).lower()} "
-                f"remainder={r.remainder}")
+                f"remainder={render(r.remainder_num, r.den)}")
     return r.holds, text
 
 
@@ -301,11 +287,11 @@ def _cmd_trace(args, parser) -> int:
     if args.format == "json":
         print(dump_json(trace_json(rep)))
     elif args.format == "latex":
-        print(f"\\text{{difference}} = {poly_latex(rep.diff_value.num)}"
-              f" / \\left({poly_latex(rep.diff_value.den)}\\right)")
+        print(f"\\text{{difference}} = {rep.diff_value.num.render(latex=True)}"
+              f" / \\left({rep.diff_value.den.render(latex=True)}\\right)")
         for term in rep.per_j:
-            print(f"j = {term.j}: {poly_latex(term.value.num)}"
-                  f" / \\left({poly_latex(term.value.den)}\\right),"
+            print(f"j = {term.j}: {term.value.num.render(latex=True)}"
+                  f" / \\left({term.value.den.render(latex=True)}\\right),"
                   f" \\; k = {term.divisor_exponent}")
     else:
         print(f"n={rep.n} m={rep.m} all_checks={str(rep.all_checks).lower()}")

@@ -63,12 +63,6 @@ def _integer_sides(n: int, m: int) -> tuple[list[int], list[int]]:
     return lhs, times_geometric(list(a), m, n + 1)
 
 
-def congruence_sides(n: int, m: int) -> tuple[Poly, Poly]:
-    """(A_n(t^m), geometric(m)^(n+1) * A_n(t) / m^(n+1)), both exact."""
-    lhs, rhs = _integer_sides(n, m)
-    return _over(lhs, m ** (n + 1)), _over(rhs, m ** (n + 1))
-
-
 def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> CongruenceReport:
     """Reduce (lhs - rhs)/den modulo (t-1)^(n+1) and assemble the certificate."""
     difference = add(lhs, rhs, -1)
@@ -78,15 +72,10 @@ def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> Congru
                             from_shift_basis(taylor), cofactor)
 
 
-def _cleared(p: Poly, den: int) -> list[int]:
-    """den * p as integers; den is a multiple of every denominator of p."""
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
-
-
 def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:
     """The certificate for two given sides, over the lcm of their denominators."""
     den = lcm(*(c.denominator for c in lhs.coeffs + rhs.coeffs))
-    return _certify(n, m, _cleared(lhs, den), _cleared(rhs, den), den)
+    return _certify(n, m, lhs.numerators(den), rhs.numerators(den), den)
 
 
 def verify_congruence(n: int, m: int) -> CongruenceReport:

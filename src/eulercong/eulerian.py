@@ -49,12 +49,12 @@ def eulerian_recurrence(n: int) -> EulerianPoly:
     return EulerianPoly(n, Poly(eulerian_row(n)))
 
 
-def eulerian_bruteforce(n: int, cap: int = BRUTEFORCE_CAP) -> EulerianPoly:
+def eulerian_bruteforce(n: int) -> EulerianPoly:
     """Descent enumeration over all n! permutations; the trusted oracle."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise ValueError(f"brute force capped at n <= {cap} (got {n})")
+    if n > BRUTEFORCE_CAP:
+        raise ValueError(f"brute force capped at n <= {BRUTEFORCE_CAP} (got {n})")
     if n == 0:
         return EulerianPoly(0, Poly([1]))
     counts = [0] * (n + 1)

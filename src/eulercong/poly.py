@@ -3,13 +3,20 @@
 Coefficients are `fractions.Fraction` (always reduced, positive
 denominator), stored ascending: index i is the coefficient of t^i.
 The zero polynomial is the empty coefficient tuple.
+
+This is the rational layer of the package: the proof trace's `RatFunc`,
+the acceptance suite and the test oracles compute with it. The integer
+kernels, Taylor shift at t = 1 included, live in `_intpoly`, and
+`Poly.render` prints through `_intpoly.render`, the one renderer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
+
+from ._intpoly import render
 
 Scalar = Union[Fraction, int]
 
@@ -158,29 +165,14 @@ class Poly:
 
     # -- rendering ------------------------------------------------------
 
-    def render(self, scalar=str, power: str = "t^{}", times: str = "*") -> str:
-        """Nonzero terms in ascending degree, e.g. 't + 4*t^2 + t^3'.
+    def numerators(self, den: int) -> list[int]:
+        """den * self as integers; den is a multiple of every denominator."""
+        return [c.numerator * (den // c.denominator) for c in self.coeffs]
 
-        scalar renders a coefficient's magnitude (omitted when it is 1
-        and t appears), power.format(i) renders t^i for i >= 2 and times
-        joins the two. The defaults give the plain form of str().
-        """
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            term = scalar(mag)
-            if i:
-                var = "t" if i == 1 else power.format(i)
-                term = var if mag == 1 else term + times + var
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
+    def render(self, latex: bool = False) -> str:
+        """`_intpoly.render` of the coefficients over their common denominator."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return render(self.numerators(den), den, latex)
 
     def __str__(self) -> str:
         return self.render()
@@ -271,42 +263,3 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         x, y = y, _int_primitive(_pseudo_rem(x, y))
     return Poly(x).monic()
 
-
-# -- Taylor shift at t = 1 ---------------------------------------------
-
-
-def _div_by_t_minus_one(cs: tuple[Fraction, ...]) -> tuple[list[Fraction], Fraction]:
-    """Synthetic division by (t - 1): quotient (ascending) and remainder."""
-    acc = Fraction(0)
-    out: list[Fraction] = []
-    for c in reversed(cs):
-        acc = acc + c
-        out.append(acc)
-    return list(reversed(out[:-1])), out[-1]
-
-
-def shifted_basis_coeffs(p: Poly) -> tuple[Fraction, ...]:
-    """Coefficients d_i with p = sum d_i * (t-1)^i (Horner/Ruffini cascade)."""
-    ds: list[Fraction] = []
-    cs = p.coeffs
-    while cs:
-        quot, rem = _div_by_t_minus_one(cs)
-        ds.append(rem)
-        cs = tuple(quot)
-    return tuple(ds)
-
-
-def remainder_mod_shift_power(p: Poly, k: int) -> tuple[Poly, tuple[Fraction, ...]]:
-    """Remainder of p modulo (t-1)^k, plus the full shifted coefficient list.
-
-    The remainder is sum_{i<k} d_i (t-1)^i re-expanded in t, so
-    p - remainder is exactly divisible by (t-1)^k.
-    """
-    if k < 1:
-        raise ValueError("modulus exponent must be >= 1")
-    ds = shifted_basis_coeffs(p)
-    shift = Poly([-1, 1])
-    rem = Poly()
-    for d in reversed(ds[:k]):
-        rem = rem * shift + Poly([d])
-    return rem, ds

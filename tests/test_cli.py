@@ -89,6 +89,22 @@ def test_verify_parallel_deterministic(capsys):
     assert seq == par
 
 
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+@pytest.mark.parametrize("pairs", [["--n", "3", "--m", "2"],
+                                   ["--n-max", "2", "--m-max", "3"]])
+def test_verify_builds_no_poly(capsys, monkeypatch, fmt, pairs):
+    # Every format renders the integer certificate without a Fraction Poly.
+    argv = ["verify", *pairs, "--format", fmt]
+    expected = run(capsys, *argv)
+
+    def no_poly(self, coeffs=()):
+        raise AssertionError("verify built a Poly")
+
+    monkeypatch.setattr("eulercong.poly.Poly.__init__", no_poly)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
 def test_verify_invalid_m_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--n", "1", "--m", "0")
     assert code == 2

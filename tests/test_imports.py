@@ -31,7 +31,6 @@ CORE = ["eulercong", "eulercong._intpoly", "eulercong.cli", "eulercong.congruenc
 # public functions that stay importable from their own submodule only.
 PUBLIC = {
     "CongruenceReport": "congruence",
-    "congruence_sides": "congruence",
     "report_from_sides": "congruence",
     "verify_congruence": "congruence",
     "EulerianPoly": "eulerian",
@@ -43,8 +42,6 @@ PUBLIC = {
     "exact_div": "poly",
     "geometric_poly": "poly",
     "poly_gcd": "poly",
-    "remainder_mod_shift_power": "poly",
-    "shifted_basis_coeffs": "poly",
     "RatioTerm": "prooftrace",
     "TraceReport": "prooftrace",
     "diff_rational": "prooftrace",

@@ -9,8 +9,6 @@ from eulercong.poly import (
     exact_div,
     geometric_poly,
     poly_gcd,
-    remainder_mod_shift_power,
-    shifted_basis_coeffs,
 )
 
 fractions = st.fractions(
@@ -99,33 +97,6 @@ def test_geometric_telescoping(m):
     assert lhs == rhs
 
 
-def test_remainder_exact_multiple():
-    rem, _ = remainder_mod_shift_power(Poly([-1, 1]) ** 2, 2)
-    assert rem.is_zero
-
-
-def test_remainder_taylor_shift():
-    # t^2 = (t-1)^2 + 2(t-1) + 1, so mod (t-1)^2 the remainder is 2t - 1.
-    rem, shifted = remainder_mod_shift_power(Poly([0, 0, 1]), 2)
-    assert rem == Poly([-1, 2])
-    assert shifted == (Fraction(1), Fraction(2), Fraction(1))
-
-
-def test_remainder_large_modulus():
-    p = Poly([0, 0, 1])
-    rem, _ = remainder_mod_shift_power(p, 5)
-    assert rem == p
-
-
-def test_shifted_basis_reconstructs():
-    p = Poly([3, Fraction(-1, 2), 0, 7])
-    shift = Poly([-1, 1])
-    acc = Poly()
-    for d in reversed(shifted_basis_coeffs(p)):
-        acc = acc * shift + Poly([d])
-    assert acc == p
-
-
 def test_gcd_simple():
     assert poly_gcd(Poly([-1, 0, 1]), Poly([-1, 1])) == Poly([-1, 1])
 
@@ -169,15 +140,6 @@ def test_mul_associates(a, b, c):
 @given(polys, polys, polys)
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
-
-
-@settings(max_examples=50)
-@given(polys, st.integers(min_value=1, max_value=4))
-def test_shift_power_reconstruction(p, k):
-    rem, _ = remainder_mod_shift_power(p, k)
-    modulus = Poly([-1, 1]) ** k
-    q = exact_div(p - rem, modulus)
-    assert q * modulus + rem == p
 
 
 @settings(max_examples=30)
