@@ -6,7 +6,9 @@ stderr line, `eulercong: trace check failed: <names>`), 2 usage or
 validation error, 3 internal error (an arithmetic invariant of the
 package broke, or a `--parallel` worker died; one line on stderr and
 nothing on stdout), 130 interrupted by Ctrl-C (SIGINT; one line
-`eulercong: interrupted` on stderr and nothing on stdout).
+`eulercong: interrupted` on stderr and nothing on stdout), 141 stdout
+closed by its reader, as in `| head -1` (the status a shell reports for
+SIGPIPE; nothing on stderr).
 
 verify renders each pair where it is computed and keeps only the output
 text, which it writes once at the end, so its memory is bounded by the
@@ -21,9 +23,9 @@ subcommand and gives the bytes of `json.dumps(obj, indent=2)`.
 
 Each subcommand imports only what it runs: `eulerian` (every method)
 and `verify` load `cli`, `congruence`, `eulerian`, `_intpoly` and
-`poly`; `trace` adds `prooftrace` and `ratfunc`; only
-`verify --parallel W` with W >= 2 (on a grid of two or more pairs)
-loads `concurrent.futures`. None loads `dataclasses` or `json`.
+`poly`; `trace` adds `prooftrace` and `ratfunc`; `verify --parallel W`
+loads `concurrent.futures` only if W, the grid size and the CPU count
+are all at least 2. None loads `dataclasses` or `json`.
 """
 
 from __future__ import annotations
@@ -152,21 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_n(parser: argparse.ArgumentParser, n: int, cap: int = N_CAP) -> None:
-    if not 0 <= n <= cap:
-        parser.error(f"n must be in [0, {cap}], got {n}")
-
-
-def _check_m(parser: argparse.ArgumentParser, m: int, cap: int = M_CAP) -> None:
-    if not 1 <= m <= cap:
-        parser.error(f"m must be in [1, {cap}], got {m}")
+def _check_caps(parser: argparse.ArgumentParser, n: int, m: int = 1,
+                n_cap: int = N_CAP, m_cap: int = M_CAP) -> None:
+    """Exit 2 unless 0 <= n <= n_cap and 1 <= m <= m_cap; m = 1 always passes."""
+    for name, value, low, cap in (("n", n, 0, n_cap), ("m", m, 1, m_cap)):
+        if not low <= value <= cap:
+            parser.error(f"{name} must be in [{low}, {cap}], got {value}")
 
 
 # -- commands ------------------------------------------------------------
 
 
 def _cmd_eulerian(args, parser) -> int:
-    _check_n(parser, args.n)
+    _check_caps(parser, args.n)
     try:
         ep = METHODS[args.method](args.n)
     except ValueError as exc:  # brute-force cap
@@ -192,13 +192,11 @@ def _verify_grid(args, parser) -> list[tuple[int, int]]:
     if single:
         if args.n is None or args.m is None:
             parser.error("verify needs both --n and --m")
-        _check_n(parser, args.n)
-        _check_m(parser, args.m)
+        _check_caps(parser, args.n, args.m)
         return [(args.n, args.m)]
     if args.n_max is None or args.m_max is None:
         parser.error("verify needs both --n-max and --m-max")
-    _check_n(parser, args.n_max)
-    _check_m(parser, args.m_max)
+    _check_caps(parser, args.n_max, args.m_max)
     return [(n, m) for n in range(args.n_max + 1) for m in range(1, args.m_max + 1)]
 
 
@@ -207,8 +205,8 @@ def _cmd_verify(args, parser) -> int:
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
     tasks = [(n, m, args.format) for n, m in grid]
-    if args.parallel > 1 and len(grid) > 1:
-        workers = min(args.parallel, len(grid), os.cpu_count() or 1)
+    workers = min(args.parallel, len(grid), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
@@ -281,8 +279,7 @@ def full_trace(n: int, m: int) -> TraceReport:
 
 
 def _cmd_trace(args, parser) -> int:
-    _check_n(parser, args.n, TRACE_N_CAP)
-    _check_m(parser, args.m, TRACE_M_CAP)
+    _check_caps(parser, args.n, args.m, TRACE_N_CAP, TRACE_M_CAP)
     rep = full_trace(args.n, args.m)
     if args.format == "json":
         print(dump_json(trace_json(rep)))
@@ -313,9 +310,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        return commands[args.command](args, parser)
+        code = commands[args.command](args, parser)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
     except ArithmeticError as exc:
         return _internal_error(exc)
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so the flush at
+        # exit writes nothing either, and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except KeyboardInterrupt:
         print("eulercong: interrupted", file=sys.stderr)
         return 130

@@ -15,12 +15,11 @@ only when read.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from ._intpoly import add, divide_by_shift, from_shift_basis, times_geometric, trim
 from .eulerian import eulerian_row
-from .poly import Poly
+from .poly import Poly, _common_denominator
 
 
 def _over(nums: list[int], den: int) -> Poly:
@@ -74,7 +73,7 @@ def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> Congru
 
 def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:
     """The certificate for two given sides, over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in lhs.coeffs + rhs.coeffs))
+    den = _common_denominator(lhs, rhs)
     return _certify(n, m, lhs.numerators(den), rhs.numerators(den), den)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from ._intpoly import render
+from ._intpoly import render, trim
 
 Scalar = Union[Fraction, int]
 
@@ -28,9 +28,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Fraction, ...] = tuple(trim(cs))
 
     # -- basic queries ------------------------------------------------
 
@@ -154,8 +152,7 @@ class Poly:
         if m == 1 or self.is_zero:
             return self
         out = [Fraction(0)] * (self.degree * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
+        out[::m] = self.coeffs
         return Poly(out)
 
     def monic(self) -> "Poly":
@@ -171,7 +168,7 @@ class Poly:
 
     def render(self, latex: bool = False) -> str:
         """`_intpoly.render` of the coefficients over their common denominator."""
-        den = lcm(*(c.denominator for c in self.coeffs))
+        den = _common_denominator(self)
         return render(self.numerators(den), den, latex)
 
     def __str__(self) -> str:
@@ -181,7 +178,6 @@ class Poly:
         return f"Poly('{self}')"
 
 
-ZERO = Poly()
 ONE = Poly([1])
 T = Poly([0, 1])
 
@@ -204,43 +200,31 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def _common_denominator(*ps: Poly) -> int:
+    """The lcm of the denominators of every coefficient of ps (1 if none)."""
+    return lcm(*(c.denominator for p in ps for c in p.coeffs))
+
+
 def _int_primitive(coeffs: list[int]) -> list[int]:
     """Divide out the integer content; leading coefficient made positive."""
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return coeffs
-    if coeffs[-1] < 0:
+    g = gcd(*coeffs)
+    if coeffs and coeffs[-1] < 0:
         g = -g
     return [c // g for c in coeffs]
 
 
-def _to_int_primitive(p: Poly) -> list[int]:
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return _int_primitive([int(c * lcm) for c in p.coeffs])
-
-
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Integer pseudo-remainder of a by b (both ascending, b nonzero)."""
-    rem = list(a)
+    """Integer pseudo-remainder of a by b (both ascending and trimmed, b nonzero)."""
+    rem = a
     db = len(b) - 1
     lb = b[-1]
-    while len(rem) - 1 >= db:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
+    while len(rem) > db:
         top = rem[-1]
         shift = len(rem) - 1 - db
         rem = [c * lb for c in rem]
         for j, bc in enumerate(b):
             rem[shift + j] -= top * bc
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
+        trim(rem)
     return rem
 
 
@@ -252,11 +236,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    x, y = _to_int_primitive(a), _to_int_primitive(b)
+    den = _common_denominator(a, b)
+    x, y = _int_primitive(a.numerators(den)), _int_primitive(b.numerators(den))
     if len(x) < len(y):
         x, y = y, x
     while y:

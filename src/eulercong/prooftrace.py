@@ -104,11 +104,6 @@ def _ratfunc(num: list[int], den: list[int]) -> RatFunc:
     return RatFunc._from_reduced(Poly(num), Poly(den))
 
 
-def _ints(p: Poly) -> list[int]:
-    """Coefficients of an integer polynomial (every numerator and denominator here)."""
-    return [c.numerator for c in p.coeffs]
-
-
 def _binomial_sum(ns: list[list[int]], x: int, times_d) -> list[int]:
     """sum_l C(n,l) x^l ns[n-l] D^l, by Horner in D; times_d(p) is p * D.
 
@@ -206,10 +201,10 @@ def _telescopes(per_j: tuple[RatioTerm, ...], series_value: RatFunc, m: int, n: 
     top = times_geometric([1], m, n + 1)
     total: list[int] = []
     for term in per_j:
-        cofactor, rem = divmod_monic(top, _ints(term.value.den))
+        cofactor, rem = divmod_monic(top, term.value.den.numerators(1))
         if rem:
             return False
-        total = add(total, mul(_ints(term.value.num), cofactor))
+        total = add(total, mul(term.value.num.numerators(1), cofactor))
     return _ratfunc(*_reduce(total, top, cyclotomic(m)[1:], n + 1)[:2]) == series_value
 
 

@@ -28,10 +28,8 @@ class RatFunc:
             if g.degree > 0:
                 num = exact_div(num, g)
                 den = exact_div(den, g)
-            lc = den.leading
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den * (1 / lc)
+            if den.leading != 1:
+                num, den = num * (1 / den.leading), den.monic()
         self.num = num
         self.den = den
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eulercong import cli, congruence
+from eulercong import cli, congruence, prooftrace
 from eulercong.cli import dump_json, main
 
 REPORT_KEYS = ["n", "m", "holds", "lhs", "rhs", "remainder", "cofactor"]
@@ -114,6 +114,9 @@ def test_verify_invalid_m_exits_2(capsys):
 def test_verify_requires_range_or_pair(capsys):
     code, _, _ = run(capsys, "verify", "--n", "1")
     assert code == 2
+    code, _, err = run(capsys, "verify", "--n-max", "3")
+    assert code == 2
+    assert "verify needs both --n-max and --m-max" in err
     code, _, _ = run(capsys, "verify")
     assert code == 2
     code, _, _ = run(capsys, "verify", "--n", "1", "--m", "2", "--n-max", "3")
@@ -127,6 +130,15 @@ def test_out_of_cap_exits_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "eulerian", "--n", "-1")
     assert code == 2
+    code, out, err = run(capsys, "eulerian", "--n", "10", "--method", "bruteforce")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: brute force capped at n <= 9 (got 10)\n")
+    code, out, err = run(capsys, "verify", "--n-max", "2", "--m-max", "2",
+                         "--parallel", "0")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: --parallel must be >= 1\n")
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -214,15 +226,23 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     code, par, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
                        "--format", "json", "--parallel", "100000")
     assert code == 0
-    assert sizes == [min(2, os.cpu_count() or 1)]
+    assert sizes == [2]  # the grid has two pairs
     assert chunksizes == [2]  # one grid row per task
     assert initializers == [cli._ignore_sigint]
     code, seq, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
                        "--format", "json")
     assert par == seq
+    # One CPU: a one-worker pool would only add cost, so none is built.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, one_cpu, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
+                           "--format", "json", "--parallel", "2")
+    assert code == 0
+    assert sizes == [2]
+    assert one_cpu == seq
 
 
 def _raise_arithmetic(*args):
@@ -239,6 +259,23 @@ def test_internal_error_exits_3(capsys, monkeypatch, target, argv):
     assert code == 3
     assert out == ""
     assert err == "eulercong: internal error: inexact polynomial division: remainder 1\n"
+
+
+def test_ratio_forms_disagreeing_exits_3(capsys, monkeypatch):
+    # The direct form of the j = 1 ratio, perturbed, no longer matches the
+    # geometric form: an arithmetic invariant broke, not a proof check.
+    real = prooftrace._ratio_numerators
+
+    def perturbed(m, n):
+        geometric, direct = real(m, n)
+        return geometric, (direct[0], (direct[1][0] + 1, *direct[1][1:]), *direct[2:])
+
+    monkeypatch.setattr(prooftrace, "_ratio_numerators", perturbed)
+    code, out, err = run(capsys, "trace", "--n", "3", "--m", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("eulercong: internal error: ratio forms disagree")
+    assert err.count("\n") == 1
 
 
 def test_dead_pool_worker_exits_3(capsys, monkeypatch):
@@ -364,3 +401,27 @@ def test_sigint_to_parallel_verify_exits_130_and_leaves_no_process():
         except ProcessLookupError:
             pass
         proc.communicate()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "0", "--m-max", "2"],
+    ["verify", "--n-max", "0", "--m-max", "2", "--parallel", "2"],
+    ["trace", "--n", "1", "--m", "2"],
+    ["eulerian", "--n", "3"],
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    # The read end of the pipe is closed before the CLI starts, so its
+    # first write fails, as in `eulercong ... | head -1` once head exits.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "eulercong.cli", *argv],
+                              env=env, stdin=subprocess.DEVNULL, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -128,3 +128,6 @@ def test_negative_n_rejected():
     for fn in (eulerian_recurrence, eulerian_bruteforce, eulerian_from_gf):
         with pytest.raises(ValueError):
             fn(-1)
+    for n, K in ((-1, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            worpitzky_row(n, K)

@@ -160,3 +160,18 @@ def test_gcd_divides_both(a, b):
         if not p.is_zero:
             _, r = divmod(p, g)
             assert r.is_zero
+
+
+small_polys = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                       min_size=0, max_size=6).map(Poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_gcd_is_greatest(a, b, c):
+    # A common factor c planted in both arguments divides their gcd, so a
+    # proper divisor of the true gcd does not pass.
+    if c.is_zero or (a.is_zero and b.is_zero):
+        return
+    _, r = divmod(poly_gcd(a * c, b * c), c.monic())
+    assert r.is_zero

@@ -66,6 +66,16 @@ def test_ratio_coeff_rejects_bad_j():
         ratio_coeff(2, 2, 1)
 
 
+@pytest.mark.parametrize("step,n,m", [
+    (full_trace, -1, 2),
+    (full_trace, 0, 0),
+    (diff_rational, 2, 0),
+])
+def test_proof_steps_reject_bad_n_m(step, n, m):
+    with pytest.raises(ValueError):
+        step(n, m)
+
+
 @pytest.mark.parametrize("n", range(9))
 @pytest.mark.parametrize("m", range(1, 7))
 def test_denominator_divides_geometric_power(n, m):
@@ -188,6 +198,12 @@ def _perturb_ratio(real, make_term):
         prooftrace.ratio_coeff, lambda v, k: (v * 2, k))), ["telescopes"]),
     (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
         prooftrace.ratio_coeff, lambda v, k: (v, None))), ["divisors_bounded"]),
+    # A stray factor t - 1 in the j = 1 denominator: G_m^(n+1) is no longer
+    # a common denominator of the terms, so they cannot telescope.
+    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
+        prooftrace.ratio_coeff,
+        lambda v, k: (RatFunc._from_reduced(v.num, v.den * Poly([-1, 1])), k))),
+     ["telescopes"]),
 ])
 def test_failed_check_is_named(monkeypatch, patch, failed):
     patch(monkeypatch)
