@@ -4,28 +4,31 @@ Exit codes: 0 success with all checks passing, 1 any failed
 mathematical check (trace also names the failed proof checks in one
 stderr line, `eulercong: trace check failed: <names>`), 2 usage or
 validation error, 3 internal error (an arithmetic invariant of the
-package broke, or a `--parallel` worker died; one line on stderr and
-nothing on stdout), 130 interrupted by Ctrl-C (SIGINT; one line
-`eulercong: interrupted` on stderr and nothing on stdout), 141 stdout
-closed by its reader, as in `| head -1` (the status a shell reports for
-SIGPIPE; nothing on stderr).
+package broke, or a `--parallel` worker raised or died; one line on
+stderr and nothing on stdout), 130 interrupted by Ctrl-C (SIGINT; one
+line `eulercong: interrupted` on stderr and nothing on stdout), 141
+stdout closed by its reader, as in `| head -1` (the status a shell
+reports for SIGPIPE; nothing on stderr).
 
 verify renders each pair where it is computed and keeps only the output
 text, which it writes once at the end, so its memory is bounded by the
-output. `--parallel` sends one grid row per task to the pool; on SIGINT
-its workers finish their current row and the rows not yet started are
-cancelled. Every format of a verify pair is written from the report's
+output. `--parallel W` forks min(W, pairs, CPUs) workers, where
+`os.fork` exists and that number is at least 2, and otherwise runs
+serially with the same bytes. Grid rows are dealt out to the workers in
+turn, and each sends its rendered text back down its own pipe. On
+SIGINT, or when a worker fails, the workers still alive are killed and
+reaped. Every format of a verify pair is written from the report's
 integer certificate, its numerators over one common denominator, by
 `_intpoly.render` (plain and latex) or `_intpoly.fraction_strs` (json),
 so no `Poly` or `Fraction` is built. Those two are also what every
 `Poly` prints through. `dump_json` is the one indented writer of every
 subcommand and gives the bytes of `json.dumps(obj, indent=2)`.
 
-Each subcommand imports only what it runs: `eulerian` (every method)
-and `verify` load `cli`, `congruence`, `eulerian`, `_intpoly` and
-`poly`; `trace` adds `prooftrace` and `ratfunc`; `verify --parallel W`
-loads `concurrent.futures` only if W, the grid size and the CPU count
-are all at least 2. None loads `dataclasses` or `json`.
+Each subcommand imports only what it runs: `verify` (also with
+`--parallel`) loads `cli`, `congruence`, `eulerian` and `_intpoly`, and
+neither `poly` nor `fractions`; `eulerian` (every method) adds `poly`;
+`trace` adds `poly`, `prooftrace` and `ratfunc`. None loads
+`concurrent.futures`, `dataclasses` or `json`.
 """
 
 from __future__ import annotations
@@ -206,14 +209,12 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--parallel must be >= 1")
     tasks = [(n, m, args.format) for n, m in grid]
     workers = min(args.parallel, len(grid), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool
-
+    if workers > 1 and hasattr(os, "fork"):
         try:
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_ignore_sigint) as pool:
                 results = list(pool.map(_render_pair, tasks, chunksize=args.m_max))
-        except BrokenProcessPool as exc:  # a worker died
+        except WorkerError as exc:  # a worker raised or died
             return _internal_error(exc)
     else:
         results = [_render_pair(task) for task in tasks]
@@ -249,26 +250,102 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
 
 
 def _ignore_sigint() -> None:
-    """Pool initializer: a worker ignores Ctrl-C and finishes its chunk.
+    """Pool initializer: a worker ignores Ctrl-C.
 
-    The parent alone handles SIGINT; `Executor.map` then cancels the
-    chunks not yet started.
+    The parent alone handles SIGINT, and the pool's `__exit__` then
+    kills the workers.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-# The pool and the proof trace are imported on first call, so a process
-# pays for them only on the paths that use them. Both stay attributes of
-# this module, which tests and the benchmark's tracer replace.
+class WorkerError(Exception):
+    """A pool worker raised (its exception's message) or died."""
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use."""
-    from concurrent.futures import ProcessPoolExecutor
+class ProcessPoolExecutor:
+    """The `--parallel` pool: W forked workers, one pipe each, no threads.
 
-    return ProcessPoolExecutor(*args, **kwargs)
+    Chunk c of `map`'s tasks goes to worker c % W, which writes each
+    `(holds, text)` result down its pipe as a flag digit and the text,
+    NUL-terminated; `map` returns the results in task order. It raises
+    `WorkerError` if a worker raised, died or cut its stream short, and
+    `__exit__` kills and reaps every worker still alive.
+    """
+
+    def __init__(self, max_workers: int, initializer) -> None:
+        self.max_workers, self.initializer = max_workers, initializer
+        self.pids: dict[int, int] = {}  # read end of a live worker's pipe -> pid
+
+    def __enter__(self) -> ProcessPoolExecutor:
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        for fd, pid in self.pids.items():
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            os.close(fd)
+        self.pids.clear()
+        return False
+
+    def map(self, fn, items: list, chunksize: int) -> list[tuple[bool, str]]:
+        import select
+        import signal  # noqa: F401  (once here, not in each worker's `_ignore_sigint`)
+
+        chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
+        workers = min(self.max_workers, len(chunks))
+        counts = {}  # read end -> number of results expected
+        for w in range(workers):
+            share = [x for chunk in chunks[w::workers] for x in chunk]
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                self._work(write_end, fn, share)
+            os.close(write_end)
+            self.pids[read_end], counts[read_end] = pid, len(share)
+        streams, results = dict.fromkeys(counts, b""), {}
+        while self.pids:
+            for fd in select.select(list(self.pids), [], [])[0]:
+                data = os.read(fd, 1 << 16)
+                streams[fd] += data
+                if not data:  # EOF: the worker is done
+                    results[fd] = iter(self._reap(fd, streams[fd], counts[fd]))
+        per_worker = [results[fd] for fd in counts]
+        return [next(per_worker[c % workers]) for c, chunk in enumerate(chunks) for _ in chunk]
+
+    def _work(self, fd: int, fn, tasks: list) -> None:
+        """Run in a forked worker: send the results of `tasks` down `fd`, then exit."""
+        code = 1
+        try:
+            with open(fd, "wb") as out:
+                try:
+                    self.initializer()
+                    for task in tasks:
+                        holds, text = fn(task)
+                        out.write(b"%d%s\0" % (holds, text.encode()))
+                    code = 0
+                except Exception as exc:
+                    out.write(b"E%s\0" % str(exc).encode())
+        finally:
+            os._exit(code)  # no stdio flush, atexit or teardown of the caller
+
+    def _reap(self, fd: int, stream: bytes, expected: int) -> list[tuple[bool, str]]:
+        os.close(fd)
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pids.pop(fd), 0)[1])
+        *records, tail = stream.decode().split("\0")
+        if records and records[-1].startswith("E"):
+            raise WorkerError(records[-1][1:])
+        if code or tail or len(records) != expected:
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise WorkerError(f"a worker process died ({how}) "
+                              f"after {len(records)} of {expected} results")
+        return [(r[0] == "1", r[1:]) for r in records]
+
+
+# The proof trace is imported on first call, so a process pays for it
+# only on the path that uses it. It and the pool stay attributes of this
+# module, which tests and the benchmark's tracer replace.
 
 
 def full_trace(n: int, m: int) -> TraceReport:

@@ -9,20 +9,26 @@ rational is the scale 1/m^(n+1), so a report keeps its certificate as
 integer numerator lists over one positive common denominator `den`
 (m^(n+1) in `verify_congruence`): the difference of the two sides is
 divided by (t-1) n+1 times, and the rational `Poly` fields are built
-only when read.
+only when read. `poly` and `fractions` are imported only then, so
+verify loads neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._intpoly import add, divide_by_shift, from_shift_basis, times_geometric, trim
 from .eulerian import eulerian_row
-from .poly import Poly, _common_denominator
+
+if TYPE_CHECKING:
+    from .poly import Poly
 
 
 def _over(nums: list[int], den: int) -> Poly:
+    from fractions import Fraction
+
+    from .poly import Poly
+
     return Poly([Fraction(c, den) for c in nums])
 
 
@@ -73,6 +79,8 @@ def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> Congru
 
 def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:
     """The certificate for two given sides, over the lcm of their denominators."""
+    from .poly import _common_denominator
+
     den = _common_denominator(lhs, rhs)
     return _certify(n, m, lhs.numerators(den), rhs.numerators(den), den)
 

@@ -5,16 +5,23 @@ for n >= 1, with A_0 = 1. This is the convention fixed by the
 generating function sum_n A_n(t)/(1-t)^(n+1) x^n/n! = 1/(1 - t e^x),
 so A_1(t) = t (NOT the also-common A_1(t) = 1). The congruence this
 package verifies is false under the other convention.
+
+`eulerian_row` builds the integer rows; `Poly` and `Fraction` are
+imported only by the functions that return them, so verify loads
+neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, permutations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._intpoly import kernel
-from .poly import Poly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .poly import Poly
 
 BRUTEFORCE_CAP = 9
 
@@ -46,11 +53,15 @@ def eulerian_row(n: int) -> tuple[int, ...]:
 
 def eulerian_recurrence(n: int) -> EulerianPoly:
     """A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), from A_0 = 1."""
+    from .poly import Poly
+
     return EulerianPoly(n, Poly(eulerian_row(n)))
 
 
 def eulerian_bruteforce(n: int) -> EulerianPoly:
     """Descent enumeration over all n! permutations; the trusted oracle."""
+    from .poly import Poly
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > BRUTEFORCE_CAP:
@@ -71,6 +82,8 @@ def eulerian_from_gf(n: int) -> EulerianPoly:
     from the integer series division `_intpoly.kernel`, so
     A_n = (-1)^(n+1) N_n. It shares no code with the recurrence.
     """
+    from .poly import Poly
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     sign = -1 if n % 2 == 0 else 1
@@ -83,6 +96,8 @@ def worpitzky_row(n: int, K: int) -> list[Fraction]:
     Dividing a series by 1 - t takes its running sums, so this is n+1
     running sums over the coefficients of A_n (0^0 = 1).
     """
+    from fractions import Fraction
+
     if n < 0 or K < 0:
         raise ValueError("n and K must be nonnegative")
     row = eulerian_row(n)[:K + 1]

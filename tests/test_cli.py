@@ -280,8 +280,6 @@ def test_ratio_forms_disagreeing_exits_3(capsys, monkeypatch):
 
 def test_dead_pool_worker_exits_3(capsys, monkeypatch):
     # A fake pool whose map fails as a pool with a killed worker does: no fork.
-    from concurrent.futures.process import BrokenProcessPool
-
     class DeadPool:
         def __init__(self, max_workers, initializer):
             pass
@@ -293,7 +291,7 @@ def test_dead_pool_worker_exits_3(capsys, monkeypatch):
             return False
 
         def map(self, fn, items, chunksize):
-            raise BrokenProcessPool("a worker process died")
+            raise cli.WorkerError("a worker process died")
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
     code, out, err = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
@@ -351,9 +349,32 @@ def test_interrupt_during_argument_parsing_exits_130(capsys, monkeypatch):
     assert err == "eulercong: interrupted\n"
 
 
-@pytest.mark.parametrize("argv", [[], ["--parallel", "2"]])
-def test_grid_failing_part_way_writes_nothing(capsys, monkeypatch, argv):
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs the real pool for over 60 s, instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("the pool did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv,pool", [
+    pytest.param([], InlinePool, id="argv0"),
+    pytest.param(["--parallel", "2"], InlinePool, id="argv1"),
+    pytest.param(["--parallel", "2"], None, id="real-pool"),
+])
+def test_grid_failing_part_way_writes_nothing(capsys, monkeypatch, deadline, argv, pool):
     # Pairs before (2, 1) are already rendered when it fails; none is written.
+    # With the real pool, (2, 1) fails inside a forked worker.
     verify = congruence.verify_congruence
 
     def fail_at_2_1(n, m):
@@ -362,11 +383,74 @@ def test_grid_failing_part_way_writes_nothing(capsys, monkeypatch, argv):
         return verify(n, m)
 
     monkeypatch.setattr(cli, "verify_congruence", fail_at_2_1)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if pool:
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
     code, out, err = run(capsys, "verify", "--n-max", "2", "--m-max", "3", *argv)
     assert code == 3
     assert out == ""
     assert err == "eulercong: internal error: inexact polynomial division: remainder 1\n"
+    assert_no_child()
+
+
+def test_worker_killed_by_signal_exits_3_and_leaves_no_child(capsys, monkeypatch, deadline):
+    # The worker of the even rows kills itself at its first pair, while
+    # the other still has odd rows to run: that one is killed and reaped
+    # on the way out.
+    parent = os.getpid()
+    verify = congruence.verify_congruence
+
+    def killed_at_0_1(n, m):
+        if (n, m) == (0, 1) and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return verify(n, m)
+
+    monkeypatch.setattr(cli, "verify_congruence", killed_at_0_1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "20", "--m-max", "12",
+                         "--parallel", "2")
+    assert code == 3
+    assert out == ""
+    assert err == ("eulercong: internal error: a worker process died "
+                   f"(killed by signal {int(signal.SIGKILL)}) after 0 of 132 results\n")
+    assert_no_child()
+
+
+def test_worker_raising_other_error_exits_3(capsys, monkeypatch, deadline):
+    # Any exception in a worker ends the run with exit 3; none hangs it.
+    def fail(n, m):
+        raise ValueError("not an arithmetic error")
+
+    monkeypatch.setattr(cli, "verify_congruence", fail)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "3",
+                         "--parallel", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "eulercong: internal error: not an arithmetic error\n"
+    assert_no_child()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+def test_real_pool_output_is_serial_bytes(capsys, monkeypatch, deadline, fmt):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "--n-max", "20", "--m-max", "12", "--format", fmt]
+    serial = run(capsys, *argv)
+    assert run(capsys, *argv, "--parallel", "2") == serial
+    assert serial[0] == 0
+    assert_no_child()
+
+
+def test_no_fork_runs_serially(capsys, monkeypatch):
+    # Where os.fork is missing (Windows), --parallel builds no pool.
+    built = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: built.append(kw))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["verify", "--n-max", "3", "--m-max", "2", "--format", "json"]
+    serial = run(capsys, *argv)
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, *argv, "--parallel", "2") == serial
+    assert built == []
 
 
 def test_sigint_to_parallel_verify_exits_130_and_leaves_no_process():

@@ -25,7 +25,7 @@ print(sorted(k for k in sys.modules if k.split(".")[0] in {roots!r}))
 """
 
 CORE = ["eulercong", "eulercong._intpoly", "eulercong.cli", "eulercong.congruence",
-        "eulercong.eulerian", "eulercong.poly"]
+        "eulercong.eulerian"]
 
 # Every public name of the package's API: the names of `__all__`, and the
 # public functions that stay importable from their own submodule only.
@@ -88,7 +88,9 @@ def test_verify_loads_no_prooftrace():
 
 
 def test_gf_method_loads_only_the_core():
-    assert loaded_after(run_main("eulerian", "--n", "5", "--method", "gf")) == CORE
+    # eulerian prints a Poly, so it adds `poly` to what verify loads.
+    loaded = loaded_after(run_main("eulerian", "--n", "5", "--method", "gf"))
+    assert loaded == sorted(CORE + ["eulercong.poly"])
 
 
 def test_eulerian_module_loads_no_trace_or_series():
@@ -99,14 +101,28 @@ def test_eulerian_module_loads_no_trace_or_series():
 
 def test_trace_loads_no_pool():
     loaded = loaded_after(run_main("trace", "--n", "2", "--m", "2"))
-    assert loaded == sorted(CORE + ["eulercong.prooftrace", "eulercong.ratfunc"])
+    assert loaded == sorted(CORE + ["eulercong.poly", "eulercong.prooftrace",
+                                    "eulercong.ratfunc"])
+
+
+# What the stdlib process pool would load; the CLI's own pool loads none.
+POOL_STDLIB = ("concurrent", "multiprocessing", "pickle", "logging", "socket")
 
 
 def test_parallel_verify_loads_the_pool():
-    loaded = loaded_after(run_main("verify", "--n-max", "1", "--m-max", "2",
-                                   "--parallel", "2"))
-    assert "concurrent.futures.process" in loaded
-    assert "eulercong.prooftrace" not in loaded
+    # Two CPUs, whatever the machine has, so the pool path is taken. The
+    # pool lives in `cli`, so the parallel run loads the serial verify set.
+    code = "import os\nos.cpu_count = lambda: 2\n" + run_main(
+        "verify", "--n-max", "1", "--m-max", "2", "--parallel", "2")
+    assert loaded_after(code, ("eulercong",) + POOL_STDLIB) == CORE
+
+
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
+def test_verify_loads_no_poly_or_fractions(parallel):
+    code = "import os\nos.cpu_count = lambda: 2\n" + run_main(
+        "verify", "--n-max", "2", "--m-max", "2", "--format", "json", *parallel)
+    loaded = loaded_after(code, ("eulercong", "fractions", "decimal", "numbers"))
+    assert loaded == CORE
 
 
 @pytest.mark.parametrize("argv", [
