@@ -7,9 +7,10 @@ with a mechanical, machine-checked replay of its generating-function proof.
 The names in `__all__`, the CLI-level API and its report types, are
 resolved lazily (PEP 562): `import eulercong` imports no submodule, and
 `eulercong.full_trace` imports `eulercong.prooftrace` on first access.
-So a CLI process loads only the modules its subcommand runs: `eulerian`
-(every method) and `verify` load `cli`, `congruence`, `eulerian`,
-`_intpoly` and `poly`, and `trace` adds `prooftrace` and `ratfunc`.
+So a CLI process loads only the modules its subcommand runs: `verify`
+(also with `--parallel`) loads `cli`, `congruence`, `eulerian` and
+`_intpoly`, and neither `poly` nor `fractions`; `eulerian` (every method)
+adds `poly`, and `trace` adds `poly`, `prooftrace` and `ratfunc`.
 """
 
 from importlib import import_module

@@ -4,11 +4,11 @@ Exit codes: 0 success with all checks passing, 1 any failed
 mathematical check (trace also names the failed proof checks in one
 stderr line, `eulercong: trace check failed: <names>`), 2 usage or
 validation error, 3 internal error (an arithmetic invariant of the
-package broke, or a `--parallel` worker raised or died; one line on
-stderr and nothing on stdout), 130 interrupted by Ctrl-C (SIGINT; one
-line `eulercong: interrupted` on stderr and nothing on stdout), 141
-stdout closed by its reader, as in `| head -1` (the status a shell
-reports for SIGPIPE; nothing on stderr).
+package broke, or a `--parallel` worker could not start, raised or
+died; one line on stderr and nothing on stdout), 130 interrupted by
+Ctrl-C (SIGINT; one line `eulercong: interrupted` on stderr and nothing
+on stdout), 141 stdout closed by its reader, as in `| head -1` (the
+status a shell reports for SIGPIPE; nothing on stderr).
 
 verify renders each pair where it is computed and keeps only the output
 text, which it writes once at the end, so its memory is bounded by the
@@ -211,10 +211,9 @@ def _cmd_verify(args, parser) -> int:
     workers = min(args.parallel, len(grid), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
         try:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_ignore_sigint) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_render_pair, tasks, chunksize=args.m_max))
-        except WorkerError as exc:  # a worker raised or died
+        except WorkerError as exc:  # a worker could not start, raised or died
             return _internal_error(exc)
     else:
         results = [_render_pair(task) for task in tasks]
@@ -249,19 +248,8 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
     return r.holds, text
 
 
-def _ignore_sigint() -> None:
-    """Pool initializer: a worker ignores Ctrl-C.
-
-    The parent alone handles SIGINT, and the pool's `__exit__` then
-    kills the workers.
-    """
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 class WorkerError(Exception):
-    """A pool worker raised (its exception's message) or died."""
+    """A pool worker could not start, raised (its exception's message) or died."""
 
 
 class ProcessPoolExecutor:
@@ -270,12 +258,16 @@ class ProcessPoolExecutor:
     Chunk c of `map`'s tasks goes to worker c % W, which writes each
     `(holds, text)` result down its pipe as a flag digit and the text,
     NUL-terminated; `map` returns the results in task order. It raises
-    `WorkerError` if a worker raised, died or cut its stream short, and
-    `__exit__` kills and reaps every worker still alive.
+    `WorkerError` if a worker could not be forked, raised, died or cut its
+    stream short, and `__exit__` kills and reaps every worker still alive.
+    A worker ignores Ctrl-C: the parent alone handles SIGINT, and
+    `__exit__` then kills the workers. The name and `map`'s signature are
+    `concurrent.futures`', which tests' fakes and the benchmark's tracer
+    put in this class's place.
     """
 
-    def __init__(self, max_workers: int, initializer) -> None:
-        self.max_workers, self.initializer = max_workers, initializer
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
         self.pids: dict[int, int] = {}  # read end of a live worker's pipe -> pid
 
     def __enter__(self) -> ProcessPoolExecutor:
@@ -291,15 +283,21 @@ class ProcessPoolExecutor:
 
     def map(self, fn, items: list, chunksize: int) -> list[tuple[bool, str]]:
         import select
-        import signal  # noqa: F401  (once here, not in each worker's `_ignore_sigint`)
+        import signal  # noqa: F401  (loaded once here, not in each worker's `_work`)
 
         chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
         workers = min(self.max_workers, len(chunks))
         counts = {}  # read end -> number of results expected
         for w in range(workers):
             share = [x for chunk in chunks[w::workers] for x in chunk]
-            read_end, write_end = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = read_end, write_end = os.pipe()
+                pid = os.fork()
+            except OSError as exc:  # e.g. EAGAIN: out of processes
+                for fd in fds:
+                    os.close(fd)
+                raise WorkerError(f"could not start a worker process: {exc}") from None
             if pid == 0:
                 self._work(write_end, fn, share)
             os.close(write_end)
@@ -318,9 +316,11 @@ class ProcessPoolExecutor:
         """Run in a forked worker: send the results of `tasks` down `fd`, then exit."""
         code = 1
         try:
+            import signal  # already loaded by `map`
+
             with open(fd, "wb") as out:
                 try:
-                    self.initializer()
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
                     for task in tasks:
                         holds, text = fn(task)
                         out.write(b"%d%s\0" % (holds, text.encode()))
@@ -343,20 +343,10 @@ class ProcessPoolExecutor:
         return [(r[0] == "1", r[1:]) for r in records]
 
 
-# The proof trace is imported on first call, so a process pays for it
-# only on the path that uses it. It and the pool stay attributes of this
-# module, which tests and the benchmark's tracer replace.
-
-
-def full_trace(n: int, m: int) -> TraceReport:
-    """prooftrace.full_trace, imported on first use."""
-    from .prooftrace import full_trace
-
-    return full_trace(n, m)
-
-
 def _cmd_trace(args, parser) -> int:
     _check_caps(parser, args.n, args.m, TRACE_N_CAP, TRACE_M_CAP)
+    from .prooftrace import full_trace  # only the path that uses it pays for it
+
     rep = full_trace(args.n, args.m)
     if args.format == "json":
         print(dump_json(trace_json(rep)))

@@ -47,8 +47,6 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -179,7 +177,6 @@ class Poly:
 
 
 ONE = Poly([1])
-T = Poly([0, 1])
 
 
 # -- module-level helpers ---------------------------------------------

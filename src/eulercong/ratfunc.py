@@ -8,11 +8,11 @@ with field equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .poly import ONE, Poly, exact_div, poly_gcd
 
-Liftable = Union["RatFunc", Poly, Fraction, int]
+Liftable = Union["RatFunc", Poly]
 
 
 class RatFunc:
@@ -50,8 +50,6 @@ class RatFunc:
             return x
         if isinstance(x, Poly):
             return RatFunc(x)
-        if isinstance(x, (int, Fraction)):
-            return RatFunc(Poly([x]))
         raise TypeError(f"cannot lift {type(x).__name__} to RatFunc")
 
     @property
@@ -62,7 +60,7 @@ class RatFunc:
         return not self.is_zero
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (RatFunc, Poly, int, Fraction)):
+        if isinstance(other, (RatFunc, Poly)):
             o = RatFunc.lift(other)
             return self.num == o.num and self.den == o.den
         return NotImplemented
@@ -80,30 +78,17 @@ class RatFunc:
         db = exact_div(o.den, g) if g.degree > 0 else o.den
         return RatFunc(self.num * db + o.num * da, da * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other: Liftable) -> "RatFunc":
         return self + (-RatFunc.lift(other))
 
-    def __rsub__(self, other: Liftable) -> "RatFunc":
-        return RatFunc.lift(other) + (-self)
-
-    def __mul__(self, other: Liftable) -> "RatFunc":
+    def __mul__(self, other: Union[Liftable, Fraction, int]) -> "RatFunc":
         if isinstance(other, (int, Fraction)):
             return RatFunc(self.num * other, self.den)
         o = RatFunc.lift(other)
         return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Liftable) -> "RatFunc":
-        return self * RatFunc.lift(other).reciprocal()
-
-    def __rtruediv__(self, other: Liftable) -> "RatFunc":
-        return RatFunc.lift(other) * self.reciprocal()
 
     def reciprocal(self) -> "RatFunc":
         if self.is_zero:
@@ -115,23 +100,6 @@ class RatFunc:
     def den_value_at(self, x0: Union[Fraction, int]) -> Fraction:
         """den(x0); nonzero certifies that (t - x0) does not divide den."""
         return self.den.eval(x0)
-
-    def den_divides_power(self, base: Poly, kmax: int) -> Optional[int]:
-        """Smallest k <= kmax with den | base^k exactly, or None.
-
-        k = 0 means the denominator is 1. The base must be nonconstant.
-        """
-        if base.is_zero or base.degree < 1:
-            raise ValueError("divisor base must be nonconstant")
-        if kmax < 0:
-            raise ValueError("kmax must be nonnegative")
-        power = ONE
-        for k in range(kmax + 1):
-            _, rem = divmod(power, self.den)
-            if rem.is_zero:
-                return k
-            power = power * base
-        return None
 
     # -- rendering ---------------------------------------------------------
 
@@ -145,4 +113,3 @@ class RatFunc:
 
 
 RF_ZERO = RatFunc(Poly())
-RF_ONE = RatFunc(ONE)

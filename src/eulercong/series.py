@@ -1,31 +1,19 @@
-"""Truncated power series in x over an exact coefficient ring.
+"""Truncated power series in x with `RatFunc` coefficients.
 
 Coefficients are stored ordinarily (of x^i, not x^i/i!); factorial
-scaling is applied only when an EGF coefficient is extracted. The ring
-may be Fraction, Poly, or RatFunc; division requires field coefficients
-(Fraction or RatFunc).
+scaling is applied only when an EGF coefficient is extracted. This is
+the reference series arithmetic of the proof trace's tests and
+acceptance suite; `prooftrace` itself divides series over integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
-from .poly import Poly, geometric_poly
+from .poly import Poly
 from .ratfunc import RatFunc
-
-Ring = Union[Fraction, Poly, RatFunc]
-
-
-def _invert(x: Ring) -> Ring:
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ZeroDivisionError("series division by zero constant term")
-        return 1 / x
-    if isinstance(x, RatFunc):
-        return x.reciprocal()
-    raise TypeError("series division requires field coefficients")
 
 
 class TruncatedSeries:
@@ -33,10 +21,10 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Ring]):
+    def __init__(self, coeffs: Sequence[RatFunc]):
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        self.coeffs: tuple[Ring, ...] = tuple(coeffs)
+        self.coeffs: tuple[RatFunc, ...] = tuple(coeffs)
 
     @property
     def order(self) -> int:
@@ -46,9 +34,6 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -64,9 +49,6 @@ class TruncatedSeries:
         self._check_order(other)
         return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
         n = self.order
@@ -81,8 +63,8 @@ class TruncatedSeries:
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Recursive deconvolution: c_i = (a_i - sum_{j<i} c_j b_{i-j}) / b_0."""
         self._check_order(other)
-        b0_inv = _invert(other.coeffs[0])
-        out: list[Ring] = []
+        b0_inv = other.coeffs[0].reciprocal()
+        out: list[RatFunc] = []
         for i in range(self.order + 1):
             acc = self.coeffs[i]
             for j in range(i):
@@ -90,31 +72,22 @@ class TruncatedSeries:
             out.append(acc * b0_inv)
         return TruncatedSeries(out)
 
-    def egf_coeff(self, n: int) -> Ring:
+    def egf_coeff(self, n: int) -> RatFunc:
         """Coefficient of x^n/n!, i.e. n! times the ordinary coefficient."""
         if not 0 <= n <= self.order:
             raise ValueError(f"index {n} beyond series order {self.order}")
         return self.coeffs[n] * factorial(n)
 
-    def map(self, fn: Callable[[Ring], Ring]) -> "TruncatedSeries":
-        return TruncatedSeries([fn(c) for c in self.coeffs])
-
-    def __str__(self) -> str:
-        parts = [str(self.coeffs[0])]
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            parts.append(f"({c})*x" if i == 1 else f"({c})*x^{i}")
-        return " + ".join(parts) + f" (order {self.order})"
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def constant_series(c: Ring, order: int) -> TruncatedSeries:
+def constant_series(c: RatFunc, order: int) -> TruncatedSeries:
     zero = c - c
     return TruncatedSeries([c] + [zero] * order)
 
 
-def scaled_exp(c: Ring, k: int, order: int) -> TruncatedSeries:
+def scaled_exp(c: RatFunc, k: int, order: int) -> TruncatedSeries:
     """c * e^(k*x) truncated: coefficient i is c * k^i / i!."""
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -124,19 +97,13 @@ def scaled_exp(c: Ring, k: int, order: int) -> TruncatedSeries:
 
 
 def geometric_exp_sum(m: int, order: int) -> TruncatedSeries:
-    """sum_{j=0}^{m-1} t^j e^(jx) over Poly coefficients.
+    """sum_{j=0}^{m-1} t^j e^(jx).
 
     Its x^0 coefficient is the geometric polynomial 1 + t + ... + t^(m-1).
     """
     if m < 1:
         raise ValueError("geometric exponential sum requires m >= 1")
-    acc = constant_series(Poly([1]), order)
+    acc = constant_series(RatFunc(Poly([1])), order)
     for j in range(1, m):
-        tj = Poly([0] * j + [1])
-        acc = acc + scaled_exp(tj, j, order)
+        acc = acc + scaled_exp(RatFunc(Poly([0] * j + [1])), j, order)
     return acc
-
-
-def lift_to_ratfunc(s: TruncatedSeries) -> TruncatedSeries:
-    """Reinterpret a Poly- or scalar-coefficient series over RatFunc."""
-    return s.map(RatFunc.lift)

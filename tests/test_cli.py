@@ -190,7 +190,7 @@ def test_trace_failed_check_exits_1_and_names_it(capsys, monkeypatch):
     ["--n", "0", "--m", str(cli.TRACE_M_CAP + 1)],
 ])
 def test_trace_beyond_caps_exits_2_without_computing(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "full_trace", _raise_arithmetic)  # exit 3 if reached
+    monkeypatch.setattr(prooftrace, "full_trace", _raise_arithmetic)  # exit 3 if reached
     code, out, err = run(capsys, "trace", *argv)
     assert code == 2
     assert out == ""
@@ -207,13 +207,11 @@ def test_trace_at_caps_accepted(capsys):
 def test_parallel_workers_bounded(capsys, monkeypatch):
     # A fake pool records its size and runs the grid serially: no fork.
     sizes = []
-    initializers = []
     chunksizes = []
 
     class FakePool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -232,7 +230,6 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
     assert code == 0
     assert sizes == [2]  # the grid has two pairs
     assert chunksizes == [2]  # one grid row per task
-    assert initializers == [cli._ignore_sigint]
     code, seq, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
                        "--format", "json")
     assert par == seq
@@ -249,12 +246,14 @@ def _raise_arithmetic(*args):
     raise ArithmeticError("inexact polynomial division: remainder 1")
 
 
-@pytest.mark.parametrize("target,argv", [
-    ("verify_congruence", ["verify", "--n", "1", "--m", "2"]),
-    ("full_trace", ["trace", "--n", "1", "--m", "2"]),
+@pytest.mark.parametrize("module,target,argv", [
+    pytest.param(cli, "verify_congruence", ["verify", "--n", "1", "--m", "2"],
+                 id="verify_congruence-argv0"),
+    pytest.param(prooftrace, "full_trace", ["trace", "--n", "1", "--m", "2"],
+                 id="full_trace-argv1"),
 ])
-def test_internal_error_exits_3(capsys, monkeypatch, target, argv):
-    monkeypatch.setattr(cli, target, _raise_arithmetic)
+def test_internal_error_exits_3(capsys, monkeypatch, module, target, argv):
+    monkeypatch.setattr(module, target, _raise_arithmetic)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -281,7 +280,7 @@ def test_ratio_forms_disagreeing_exits_3(capsys, monkeypatch):
 def test_dead_pool_worker_exits_3(capsys, monkeypatch):
     # A fake pool whose map fails as a pool with a killed worker does: no fork.
     class DeadPool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             pass
 
         def __enter__(self):
@@ -304,7 +303,7 @@ def test_dead_pool_worker_exits_3(capsys, monkeypatch):
 class InlinePool:
     """A pool that runs `map` in this process, lazily, as Executor.map does."""
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, max_workers):
         pass
 
     def __enter__(self):
@@ -429,6 +428,53 @@ def test_worker_raising_other_error_exits_3(capsys, monkeypatch, deadline):
     assert out == ""
     assert err == "eulercong: internal error: not an arithmetic error\n"
     assert_no_child()
+
+
+def test_pool_workers_ignore_sigint(capsys, monkeypatch, deadline):
+    # Ctrl-C is for the parent alone, which then kills and reaps the workers.
+    parent, verify = os.getpid(), congruence.verify_congruence
+
+    def verify_if_sigint_ignored(n, m):
+        if os.getpid() != parent and signal.getsignal(signal.SIGINT) != signal.SIG_IGN:
+            raise ValueError("a pool worker handles SIGINT")
+        return verify(n, m)
+
+    monkeypatch.setattr(cli, "verify_congruence", verify_if_sigint_ignored)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "3",
+                         "--parallel", "2")
+    assert (code, err) == (0, "")
+    assert out.count("holds=true") == 12
+    assert_no_child()
+
+
+def test_failed_fork_exits_3_and_leaves_no_child(capsys, monkeypatch, deadline):
+    # The second fork fails as it does when the system is out of processes
+    # (EAGAIN): the first worker is killed and reaped, and no pipe end leaks.
+    real_fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    free = os.pipe()
+    for fd in free:
+        os.close(fd)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "3",
+                         "--parallel", "2")
+    assert code == 3
+    assert out == ""
+    assert err == ("eulercong: internal error: could not start a worker process: "
+                   "[Errno 11] Resource temporarily unavailable\n")
+    assert forks == [0, 1]
+    assert_no_child()
+    assert os.pipe() == free  # the lowest free descriptors are free again
+    for fd in free:
+        os.close(fd)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "latex", "json"])

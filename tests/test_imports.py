@@ -52,7 +52,6 @@ PUBLIC = {
     "TruncatedSeries": "series",
     "constant_series": "series",
     "geometric_exp_sum": "series",
-    "lift_to_ratfunc": "series",
     "scaled_exp": "series",
 }
 
@@ -132,6 +131,22 @@ def test_verify_loads_no_poly_or_fractions(parallel):
 ])
 def test_subcommands_load_no_dataclasses_inspect_or_json(argv):
     assert loaded_after(run_main(*argv), ("dataclasses", "inspect", "json")) == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "eulercong").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_top_level_import_is_used(path):
+    # Start-up dominates every CLI run, so a module imports nothing it does
+    # not use. `if TYPE_CHECKING:` blocks count as top level.
+    tree = ast.parse(path.read_text())
+    statements = [node for stmt in tree.body
+                  for node in [stmt, *(stmt.body if isinstance(stmt, ast.If) else [])]]
+    bound = [alias.asname or alias.name.split(".")[0] for node in statements
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in bound if name not in used] == []
 
 
 @pytest.mark.parametrize("name", sorted(set(PUBLIC) | set(eulercong.__all__)))

@@ -11,13 +11,7 @@ from typing import Optional
 from eulercong.eulerian import eulerian_recurrence
 from eulercong.poly import ONE, Poly, geometric_poly
 from eulercong.ratfunc import RF_ZERO, RatFunc
-from eulercong.series import (
-    TruncatedSeries,
-    constant_series,
-    geometric_exp_sum,
-    lift_to_ratfunc,
-    scaled_exp,
-)
+from eulercong.series import TruncatedSeries, constant_series, geometric_exp_sum, scaled_exp
 
 
 def diff_rational(n: int, m: int) -> RatFunc:
@@ -42,18 +36,19 @@ def series_difference_coeff(n: int, m: int) -> RatFunc:
 
 
 def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
-    den = lift_to_ratfunc(geometric_exp_sum(m, n))
     if j == 0:
         value = RF_ZERO
     else:
-        num = lift_to_ratfunc(geometric_exp_sum(j, n))
-        value = (num / den).egf_coeff(n)
+        value = (geometric_exp_sum(j, n) / geometric_exp_sum(m, n)).egf_coeff(n)
     direct = (_one_minus_scaled_exp(j, n) / _one_minus_scaled_exp(m, n)) if j >= 1 \
         else constant_series(RF_ZERO, n)
     assert direct.egf_coeff(n) == value
-    if value.den == ONE:
-        return value, 0
-    return value, value.den_divides_power(geometric_poly(m), n + 1)
+    return value, divisor_exponent(value.den, geometric_poly(m), n + 1)
+
+
+def divisor_exponent(den: Poly, base: Poly, kmax: int) -> Optional[int]:
+    """The least k <= kmax with den | base^k exactly, or None."""
+    return next((k for k in range(kmax + 1) if not divmod(base**k, den)[1]), None)
 
 
 def trace_fields(n: int, m: int) -> dict:
