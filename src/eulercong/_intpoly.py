@@ -3,7 +3,11 @@
 A polynomial in t is a list of Python ints, ascending: index i is the
 coefficient of t^i. Results are trimmed (no trailing zeros, [] for the
 zero polynomial) unless a docstring says otherwise, and only `trim`
-changes its argument.
+changes its argument. `divmod_exact` is the one long division: it
+divides by any nonzero b, exactly when b is monic or the dividend is
+pre-scaled by a power of b's leading coefficient, and `poly.Poly`'s
+arithmetic (integer numerators over one denominator) runs on these
+kernels too.
 
 `render` and `fraction_strs` are the package's only formatters of
 polynomials and coefficients: a rational polynomial is written from its
@@ -41,16 +45,20 @@ def mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a monic b."""
-    db = len(b) - 1
+def divmod_exact(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b, when every quotient step is exact.
+
+    That holds when b is monic, and when a is pre-scaled by b[-1]^k with
+    k >= len(a) - len(b) + 1 (pseudo-division): then a == q*b + r with
+    len(r) < len(b).
+    """
+    db, lb = len(b) - 1, b[-1]
     terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
     rem = list(a)
     quot = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
-        q = rem[i]
-        if q:
-            quot[i - db] = q
+        if rem[i]:
+            quot[i - db] = q = rem[i] // lb
             for j, c in terms:
                 rem[i - db + j] -= q * c
     return quot, trim(rem[:db])
@@ -105,7 +113,7 @@ def cyclotomic(m: int) -> list[list[int]]:
             p = [-1] + [0] * (d - 1) + [1]
             for e, phi in phis.items():
                 if d % e == 0:
-                    p = divmod_monic(p, phi)[0]
+                    p = divmod_exact(p, phi)[0]
             phis[d] = p
     return list(phis.values())
 

@@ -67,7 +67,7 @@ METHODS = {
 
 
 def coeff_list(p: Poly) -> list[str]:
-    return [str(c) for c in p.coeffs]
+    return fraction_strs(p.num, p.den)
 
 
 def ratfunc_json(r: RatFunc) -> dict:
@@ -302,13 +302,13 @@ class ProcessPoolExecutor:
                 self._work(write_end, fn, share)
             os.close(write_end)
             self.pids[read_end], counts[read_end] = pid, len(share)
-        streams, results = dict.fromkeys(counts, b""), {}
+        streams, results = {fd: [] for fd in counts}, {}  # the chunks read so far
         while self.pids:
             for fd in select.select(list(self.pids), [], [])[0]:
                 data = os.read(fd, 1 << 16)
-                streams[fd] += data
+                streams[fd].append(data)
                 if not data:  # EOF: the worker is done
-                    results[fd] = iter(self._reap(fd, streams[fd], counts[fd]))
+                    results[fd] = iter(self._reap(fd, b"".join(streams[fd]), counts[fd]))
         per_worker = [results[fd] for fd in counts]
         return [next(per_worker[c % workers]) for c, chunk in enumerate(chunks) for _ in chunk]
 

@@ -15,9 +15,10 @@ verify loads neither.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._intpoly import add, divide_by_shift, from_shift_basis, times_geometric, trim
+from ._intpoly import add, divide_by_shift, from_shift_basis, mul, times_geometric, trim
 from .eulerian import eulerian_row
 
 if TYPE_CHECKING:
@@ -25,11 +26,9 @@ if TYPE_CHECKING:
 
 
 def _over(nums: list[int], den: int) -> Poly:
-    from fractions import Fraction
+    from .poly import _over
 
-    from .poly import Poly
-
-    return Poly([Fraction(c, den) for c in nums])
+    return _over(nums, den)
 
 
 class CongruenceReport(NamedTuple):
@@ -79,10 +78,9 @@ def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> Congru
 
 def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:
     """The certificate for two given sides, over the lcm of their denominators."""
-    from .poly import _common_denominator
-
-    den = _common_denominator(lhs, rhs)
-    return _certify(n, m, lhs.numerators(den), rhs.numerators(den), den)
+    den = lcm(lhs.den, rhs.den)
+    lhs_num, rhs_num = (mul(p.num, [den // p.den]) for p in (lhs, rhs))
+    return _certify(n, m, lhs_num, rhs_num, den)
 
 
 def verify_congruence(n: int, m: int) -> CongruenceReport:

@@ -1,22 +1,26 @@
 """Dense univariate polynomials in t over exact rationals.
 
-Coefficients are `fractions.Fraction` (always reduced, positive
-denominator), stored ascending: index i is the coefficient of t^i.
-The zero polynomial is the empty coefficient tuple.
+A `Poly` is integer numerators over one denominator: `num` is a trimmed
+tuple of ints, ascending (index i is the numerator of the coefficient of
+t^i), and `den` a positive int, in lowest terms: gcd(den, *num) == 1,
+and the zero polynomial is () over 1. So equality and hashing are
+structural, and `coeffs` gives the reduced `Fraction`s on demand.
 
 This is the rational layer of the package: the proof trace's `RatFunc`,
-the acceptance suite and the test oracles compute with it. The integer
-kernels, Taylor shift at t = 1 included, live in `_intpoly`, and
-`Poly.render` prints through `_intpoly.render`, the one renderer.
+the acceptance suite and the test oracles compute with it. Its
+arithmetic runs on the integer kernels of `_intpoly` (`add`, `mul`, and
+`divmod_exact` after pre-scaling by a power of the divisor's leading
+coefficient), and `Poly.render` prints through `_intpoly.render`, the
+one renderer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from ._intpoly import render, trim
+from ._intpoly import add, divmod_exact, mul, render, trim
 
 Scalar = Union[Fraction, int]
 
@@ -24,58 +28,62 @@ Scalar = Union[Fraction, int]
 class Poly:
     """A polynomial in t, e.g. Poly([0, 1, 4, 1]) is t + 4*t^2 + t^3."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        self.coeffs: tuple[Fraction, ...] = tuple(trim(cs))
+        # Over the lcm of reduced denominators, the numerators share no
+        # factor with it, so the pair is already in lowest terms.
+        cs = list(coeffs)
+        self.den = lcm(*(c.denominator for c in cs))
+        self.num = tuple(trim([c.numerator * (self.den // c.denominator) for c in cs]))
 
     # -- basic queries ------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The reduced coefficients, ascending."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        g = gcd(self.den, other.den)  # over the lcm of the two denominators
+        a, b = self.den // g, other.den // g
+        return _over(add(mul(self.num, [b]), other.num, a), a * other.den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return self * -1
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -84,29 +92,18 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            return _over(mul(self.num, [other.numerator]), self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return _over(mul(self.num, other.num), self.den * other.den)
 
-    def __rmul__(self, other: Scalar) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         # Repeated squaring; k = 0 gives 1 (0^0 = 1, empty-product convention).
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -116,32 +113,28 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact long division over the rationals."""
+        """Exact long division over the rationals.
+
+        With self = a/da and other = b/db, lc^k a = q b + r over the
+        integers (lc = b[-1], k quotient steps), so the quotient is
+        q db/(da lc^k) and the remainder r/(da lc^k).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lb = other.leading
-        quot = [Fraction(0)] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lb
-            quot[i - db] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - db + j] -= q * b
-        return Poly(quot), Poly(rem)
+        scale = other.num[-1] ** max(len(self.num) - len(other.num) + 1, 0)
+        q, r = divmod_exact(mul(self.num, [scale]), other.num)
+        den = self.den * scale
+        return _over(mul(q, [other.den]), den), _over(r, den)
 
     def eval(self, x0: Scalar) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        acc = 0
+        for c in reversed(self.num):
             acc = acc * x0 + c
-        return acc
+        return Fraction(acc, self.den)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _over([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def subs_t_power(self, m: int) -> "Poly":
         """Substitute t -> t^m (index dilation)."""
@@ -149,31 +142,33 @@ class Poly:
             raise ValueError("power substitution requires m >= 1")
         if m == 1 or self.is_zero:
             return self
-        out = [Fraction(0)] * (self.degree * m + 1)
-        out[::m] = self.coeffs
-        return Poly(out)
+        out = [0] * (self.degree * m + 1)
+        out[::m] = self.num
+        return _over(out, self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("cannot make zero polynomial monic")
-        return self * (1 / self.leading)
+        return _over(self.num, self.num[-1])
 
     # -- rendering ------------------------------------------------------
 
-    def numerators(self, den: int) -> list[int]:
-        """den * self as integers; den is a multiple of every denominator."""
-        return [c.numerator * (den // c.denominator) for c in self.coeffs]
-
     def render(self, latex: bool = False) -> str:
-        """`_intpoly.render` of the coefficients over their common denominator."""
-        den = _common_denominator(self)
-        return render(self.numerators(den), den, latex)
+        return render(self.num, self.den, latex)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"
+
+
+def _over(num: Sequence[int], den: int = 1) -> Poly:
+    """The Poly num/den in lowest terms, for ints num and a nonzero int den."""
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    p = object.__new__(Poly)
+    p.num, p.den = tuple(trim([c // g for c in num])), den // g
+    return p
 
 
 ONE = Poly([1])
@@ -197,12 +192,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def _common_denominator(*ps: Poly) -> int:
-    """The lcm of the denominators of every coefficient of ps (1 if none)."""
-    return lcm(*(c.denominator for p in ps for c in p.coeffs))
-
-
-def _int_primitive(coeffs: list[int]) -> list[int]:
+def _int_primitive(coeffs: Sequence[int]) -> list[int]:
     """Divide out the integer content; leading coefficient made positive."""
     g = gcd(*coeffs)
     if coeffs and coeffs[-1] < 0:
@@ -210,34 +200,20 @@ def _int_primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs]
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Integer pseudo-remainder of a by b (both ascending and trimmed, b nonzero)."""
-    rem = a
-    db = len(b) - 1
-    lb = b[-1]
-    while len(rem) > db:
-        top = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [c * lb for c in rem]
-        for j, bc in enumerate(b):
-            rem[shift + j] -= top * bc
-        trim(rem)
-    return rem
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd via Euclid on integer primitive parts.
 
-    Clearing content after each pseudo-remainder keeps coefficients small
-    at the degrees this package works with.
+    Each step is a pseudo-remainder: `divmod_exact` of x pre-scaled by
+    y's leading coefficient to the number of quotient steps. Clearing
+    content after each one keeps coefficients small at the degrees this
+    package works with.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    den = _common_denominator(a, b)
-    x, y = _int_primitive(a.numerators(den)), _int_primitive(b.numerators(den))
+    x, y = _int_primitive(a.num), _int_primitive(b.num)
     if len(x) < len(y):
         x, y = y, x
     while y:
-        x, y = y, _int_primitive(_pseudo_rem(x, y))
-    return Poly(x).monic()
-
+        scale = y[-1] ** (len(x) - len(y) + 1)
+        x, y = y, _int_primitive(divmod_exact(mul(x, [scale]), y)[1])
+    return _over(x).monic()

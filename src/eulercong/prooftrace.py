@@ -33,10 +33,10 @@ from functools import lru_cache, partial
 from math import comb
 from typing import NamedTuple, Optional
 
-from ._intpoly import (add, cyclotomic, divmod_monic, egf_quotient, kernel, mul,
+from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, kernel, mul,
                        times_binomial, times_geometric, trim)
 from .congruence import _integer_sides
-from .poly import Poly
+from .poly import _over
 from .ratfunc import RatFunc
 
 
@@ -92,16 +92,16 @@ def _reduce(num: list[int], den: list[int], phis: list[list[int]],
     for phi in phis:
         k = e
         while k:
-            q, r = divmod_monic(num, phi)
+            q, r = divmod_exact(num, phi)
             if r:
                 break
-            num, den, k = q, divmod_monic(den, phi)[0], k - 1
+            num, den, k = q, divmod_exact(den, phi)[0], k - 1
         exps.append(k)
     return num, den, exps
 
 
 def _ratfunc(num: list[int], den: list[int]) -> RatFunc:
-    return RatFunc._from_reduced(Poly(num), Poly(den))
+    return RatFunc._from_reduced(_over(num), _over(den))
 
 
 def _binomial_sum(ns: list[list[int]], x: int, times_d) -> list[int]:
@@ -192,7 +192,7 @@ def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
     num, den, exps = _reduce(num, times_geometric([1], m, n + 1),
                              cyclotomic(m)[1:], n + 1)
     k = max(exps, default=0)
-    exponent = None if divmod_monic(times_geometric([1], m, k), den)[1] else k
+    exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k
     return _ratfunc(num, den), exponent
 
 
@@ -201,10 +201,10 @@ def _telescopes(per_j: tuple[RatioTerm, ...], series_value: RatFunc, m: int, n: 
     top = times_geometric([1], m, n + 1)
     total: list[int] = []
     for term in per_j:
-        cofactor, rem = divmod_monic(top, term.value.den.numerators(1))
+        cofactor, rem = divmod_exact(top, term.value.den.num)
         if rem:
             return False
-        total = add(total, mul(term.value.num.numerators(1), cofactor))
+        total = add(total, mul(term.value.num.num, cofactor))
     return _ratfunc(*_reduce(total, top, cyclotomic(m)[1:], n + 1)[:2]) == series_value
 
 

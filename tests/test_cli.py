@@ -93,14 +93,16 @@ def test_verify_parallel_deterministic(capsys):
 @pytest.mark.parametrize("pairs", [["--n", "3", "--m", "2"],
                                    ["--n-max", "2", "--m-max", "3"]])
 def test_verify_builds_no_poly(capsys, monkeypatch, fmt, pairs):
-    # Every format renders the integer certificate without a Fraction Poly.
+    # Every format renders the integer certificate without a Poly, built
+    # from coefficients or from numerators over a denominator.
     argv = ["verify", *pairs, "--format", fmt]
     expected = run(capsys, *argv)
 
-    def no_poly(self, coeffs=()):
+    def no_poly(*args):
         raise AssertionError("verify built a Poly")
 
     monkeypatch.setattr("eulercong.poly.Poly.__init__", no_poly)
+    monkeypatch.setattr("eulercong.poly._over", no_poly)
     assert run(capsys, *argv) == expected
     assert expected[0] == 0
 

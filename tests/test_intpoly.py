@@ -1,11 +1,14 @@
-"""The merged integer kernels of eulercong._intpoly against Poly oracles."""
+"""The integer kernels of eulercong._intpoly against Poly oracles and integer identities."""
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eulercong._intpoly import (
+    add,
     divide_by_shift,
+    divmod_exact,
     from_shift_basis,
+    mul,
     times_binomial,
     times_geometric,
     trim,
@@ -73,3 +76,43 @@ def test_shifted_basis_reconstructs():
 def test_shift_power_reconstruction(p, k):
     cofactor, remainder = shift_divmod(p, k)
     assert (Poly(cofactor), Poly(remainder)) == divmod(Poly(p), SHIFT ** k)
+
+
+# The monic division that divmod_exact generalised, kept as its oracle.
+def divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    db = len(b) - 1
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        q = rem[i]
+        if q:
+            quot[i - db] = q
+            for j, c in terms:
+                rem[i - db + j] -= q * c
+    return quot, trim(rem[:db])
+
+
+nonzero_int_polys = int_polys.filter(bool)
+
+
+@given(int_polys, nonzero_int_polys)
+@example([], [3])
+@example([1, 2, 3], [5, 0, 0, -7])
+@example([0, 0, 0, 1], [1, 2])
+@example([4, 0, 6], [-2])
+def test_divmod_exact_is_pseudo_division(a, b):
+    k = max(len(a) - len(b) + 1, 0)
+    scaled = mul(a, [b[-1] ** k])
+    q, r = divmod_exact(scaled, b)
+    assert len(r) < len(b)
+    assert add(mul(q, b), r) == scaled
+
+
+@given(int_polys, int_polys)
+@example([], [])
+@example([1, 2, 3], [0, 1])
+@example([-1, 0, 0, 0, 0, 0, 1], [1, 1, 1])
+def test_divmod_exact_by_monic_is_divmod_monic(a, b):
+    b = b + [1]
+    assert divmod_exact(a, b) == divmod_monic(a, b)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -175,3 +176,80 @@ def test_gcd_is_greatest(a, b, c):
         return
     _, r = divmod(poly_gcd(a * c, b * c), c.monic())
     assert r.is_zero
+
+
+# An independent slow path: polynomials as plain lists of Fractions,
+# ascending, compared after trimming trailing zeros.
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _pow(a, k):
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = _mul(out, a)
+    return out
+
+
+def _divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        quot[i] = q = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= q * y
+    return _trim(quot), _trim(rem[:len(b) - 1])
+
+
+def assert_lowest_terms(p):
+    assert isinstance(p.num, tuple) and all(type(c) is int for c in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert p.num or p.den == 1
+
+
+@settings(max_examples=200)
+@given(st.lists(fractions, max_size=13), st.lists(fractions, max_size=13), fractions,
+       fractions, st.integers(0, 4))
+def test_poly_against_fraction_lists(ca, cb, s, x0, k):
+    a, b = Poly(ca), Poly(cb)
+    fa, fb = _trim(ca), _trim(cb)
+    results = {
+        "init": (a, fa),
+        "+": (a + b, _add(fa, fb)),
+        "-": (a - b, _add(fa, [-c for c in fb])),
+        "*": (a * b, _mul(fa, fb)),
+        "scalar *": (a * s, _trim(c * s for c in fa)),
+        "scalar r*": (s * a, _trim(c * s for c in fa)),
+        "**": (a ** k, _pow(fa, k)),
+        "derivative": (a.derivative(), [i * c for i, c in enumerate(fa)][1:]),
+    }
+    if fb:
+        fq, fr = _divmod(fa, fb)
+        q, r = divmod(a, b)
+        results.update({"divmod q": (q, fq), "divmod r": (r, fr),
+                        "monic": (b.monic(), [c / fb[-1] for c in fb])})
+    for name, (got, want) in results.items():
+        assert_lowest_terms(got)
+        assert list(got.coeffs) == want, name
+    horner = Fraction(0)
+    for c in reversed(fa):
+        horner = horner * x0 + c
+    assert a.eval(x0) == horner
+    assert a.eval(3) == sum(c * 3 ** i for i, c in enumerate(fa))
