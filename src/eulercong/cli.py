@@ -3,12 +3,22 @@
 Exit codes: 0 success with all checks passing, 1 any failed
 mathematical check (trace also names the failed proof checks in one
 stderr line, `eulercong: trace check failed: <names>`), 2 usage or
-validation error, 3 internal error (an arithmetic invariant of the
-package broke, or a `--parallel` worker could not start, raised or
-died; one line on stderr and nothing on stdout), 130 interrupted by
+validation error, 3 internal error (any exception the package
+raises, such as a broken arithmetic invariant, or a `--parallel` worker
+that could not start, raised or died; one line on stderr and nothing on
+stdout, serially and in parallel alike), 130 interrupted by
 Ctrl-C (SIGINT; one line `eulercong: interrupted` on stderr and nothing
 on stdout), 141 stdout closed by its reader, as in `| head -1` (the
 status a shell reports for SIGPIPE; nothing on stderr).
+
+`main` freezes the heap at exit only when it runs as the program, that
+is when it parses `sys.argv` (`argv is None`: the console script and
+`python -m eulercong.cli`). It then registers `gc.freeze` with
+`atexit`, so the collector's last sweep at interpreter exit skips every
+module, class and function, which live until exit anyway. Every other
+atexit handler still runs, stdout and stderr are still flushed, and the
+process exits with the code `main` returned. A call `main([...])` from a
+host program or a test keeps the normal teardown.
 
 verify renders each pair where it is computed and keeps only the output
 text, which it writes once at the end, so its memory is bounded by the
@@ -34,6 +44,8 @@ neither `poly` nor `fractions`; `eulerian` (every method) adds `poly`;
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -373,6 +385,8 @@ def _cmd_trace(args, parser) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:  # run as the program: skip the collector's sweep at exit
+        atexit.register(gc.freeze)
     commands = {"eulerian": _cmd_eulerian, "verify": _cmd_verify, "trace": _cmd_trace}
     try:
         parser = build_parser()
@@ -380,8 +394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = commands[args.command](args, parser)
         sys.stdout.flush()  # so a closed stdout raises here, not at exit
         return code
-    except ArithmeticError as exc:
-        return _internal_error(exc)
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull, so the flush at
         # exit writes nothing either, and exit as a shell reports SIGPIPE.
@@ -390,6 +402,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("eulercong: interrupted", file=sys.stderr)
         return 130
+    except Exception as exc:  # a broken invariant, or any other bug of the package
+        return _internal_error(exc)
 
 
 def _internal_error(exc: Exception) -> int:

@@ -1,3 +1,5 @@
+import atexit
+import gc
 import json
 import os
 import signal
@@ -419,17 +421,17 @@ def test_worker_killed_by_signal_exits_3_and_leaves_no_child(capsys, monkeypatch
 
 def test_worker_raising_other_error_exits_3(capsys, monkeypatch, deadline):
     # Any exception in a worker ends the run with exit 3; none hangs it.
+    # A serial run reports the same exception with the same code and line.
     def fail(n, m):
         raise ValueError("not an arithmetic error")
 
     monkeypatch.setattr(cli, "verify_congruence", fail)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "3",
-                         "--parallel", "2")
-    assert code == 3
-    assert out == ""
-    assert err == "eulercong: internal error: not an arithmetic error\n"
+    argv = ["verify", "--n-max", "3", "--m-max", "3"]
+    parallel = run(capsys, *argv, "--parallel", "2")
+    assert parallel == (3, "", "eulercong: internal error: not an arithmetic error\n")
     assert_no_child()
+    assert run(capsys, *argv) == parallel
 
 
 def test_pool_workers_ignore_sigint(capsys, monkeypatch, deadline):
@@ -501,20 +503,25 @@ def test_no_fork_runs_serially(capsys, monkeypatch):
     assert built == []
 
 
+def cli_env() -> dict:
+    """The environment of a CLI subprocess that imports this source tree."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_sigint_to_parallel_verify_exits_130_and_leaves_no_process():
     # The CLI runs in its own session, so SIGINT goes to it and its two
     # pool workers, as Ctrl-C in a terminal does. A process started with
     # SIGINT ignored keeps ignoring it, so the entry restores the default
     # handler first: this test may itself run with SIGINT ignored.
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     entry = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler)\n"
              "from eulercong.cli import main; sys.exit(main())")
     proc = subprocess.Popen(
         [sys.executable, "-c", entry, "verify", "--n-max", "64", "--m-max", "64",
          "--parallel", "2"],
-        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        env=cli_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     pgid = proc.pid
@@ -544,16 +551,55 @@ def test_sigint_to_parallel_verify_exits_130_and_leaves_no_process():
 def test_closed_stdout_exits_141_quietly(argv):
     # The read end of the pipe is closed before the CLI starts, so its
     # first write fails, as in `eulercong ... | head -1` once head exits.
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "eulercong.cli", *argv],
-                              env=env, stdin=subprocess.DEVNULL, stdout=write_end,
+                              env=cli_env(), stdin=subprocess.DEVNULL, stdout=write_end,
                               stderr=subprocess.PIPE, timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_in_process_main_leaves_exit_alone(capsys):
+    # Only the program freezes its heap at exit; a caller's process keeps
+    # its atexit handlers and the collector's final sweep.
+    callbacks = atexit._ncallbacks()
+    assert run(capsys, "verify", "--n", "1", "--m", "2")[0] == 0
+    assert run(capsys, "verify", "--n", "65", "--m", "1")[0] == 2
+    assert atexit._ncallbacks() == callbacks
+    assert gc.get_freeze_count() == 0
+
+
+# Registered before `main`, so it runs after every handler `main` registers.
+EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}", file=sys.stderr))
+from eulercong.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", [
+    pytest.param(["verify", "--n", "1", "--m", "2"], 0,
+                 "n=1 m=2 holds=true remainder=0\n", "", id="exit-0"),
+    pytest.param(["verify", "--n", "65", "--m", "1"], 2, "",
+                 "usage: eulercong [-h] {eulerian,verify,trace} ...\n"
+                 "eulercong: error: n must be in [0, 64], got 65\n", id="exit-2"),
+    pytest.param(["verify", "--n-max", "0", "--m-max", "2"], 141, None, "", id="exit-141"),
+])
+def test_cli_process_freezes_its_heap_at_exit(argv, code, stdout, stderr):
+    # Exit 141: the read end of stdout's pipe is closed before the CLI starts.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=cli_env(),
+                              stdin=subprocess.DEVNULL,
+                              stdout=write_end if code == 141 else subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+    assert proc.stderr == stderr + "frozen at exit: True\n"
