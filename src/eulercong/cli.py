@@ -4,12 +4,15 @@ Exit codes: 0 success with all checks passing, 1 any failed
 mathematical check (trace also names the failed proof checks in one
 stderr line, `eulercong: trace check failed: <names>`), 2 usage or
 validation error, 3 internal error (any exception the package
-raises, such as a broken arithmetic invariant, or a `--parallel` worker
-that could not start, raised or died; one line on stderr and nothing on
-stdout, serially and in parallel alike), 130 interrupted by
+raises under any subcommand, such as a broken arithmetic invariant, or a
+`--parallel` worker that could not start, raised or died; one line on
+stderr, which names the exception's type when it has no message, and
+nothing on stdout, serially and in parallel alike), 130 interrupted by
 Ctrl-C (SIGINT; one line `eulercong: interrupted` on stderr and nothing
 on stdout), 141 stdout closed by its reader, as in `| head -1` (the
-status a shell reports for SIGPIPE; nothing on stderr).
+status a shell reports for SIGPIPE; nothing on stderr). Every usage
+error is found before any computing starts, and `main` is the only
+place that maps an exception to an exit code.
 
 `main` freezes the heap at exit only when it runs as the program, that
 is when it parses `sys.argv` (`argv is None`: the console script and
@@ -22,7 +25,7 @@ host program or a test keeps the normal teardown.
 
 verify renders each pair where it is computed and keeps only the output
 text, which it writes once at the end, so its memory is bounded by the
-output. `--parallel W` forks min(W, pairs, CPUs) workers, where
+output. `--parallel W` forks min(W, grid rows, CPUs) workers, where
 `os.fork` exists and that number is at least 2, and otherwise runs
 serially with the same bytes. Grid rows are dealt out to the workers in
 turn, and each sends its rendered text back down its own pipe. On
@@ -52,7 +55,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._intpoly import fraction_strs, render
 from .congruence import verify_congruence
-from .eulerian import eulerian_bruteforce, eulerian_from_gf, eulerian_recurrence
+from .eulerian import (BRUTEFORCE_CAP, eulerian_bruteforce, eulerian_from_gf,
+                       eulerian_recurrence)
 
 if TYPE_CHECKING:
     from .congruence import CongruenceReport
@@ -182,10 +186,9 @@ def _check_caps(parser: argparse.ArgumentParser, n: int, m: int = 1,
 
 def _cmd_eulerian(args, parser) -> int:
     _check_caps(parser, args.n)
-    try:
-        ep = METHODS[args.method](args.n)
-    except ValueError as exc:  # brute-force cap
-        parser.error(str(exc))
+    if args.method == "bruteforce" and args.n > BRUTEFORCE_CAP:
+        parser.error(f"brute force capped at n <= {BRUTEFORCE_CAP} (got {args.n})")
+    ep = METHODS[args.method](args.n)
     if args.format == "plain":
         print(ep.poly)
     elif args.format == "latex":
@@ -220,13 +223,11 @@ def _cmd_verify(args, parser) -> int:
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
     tasks = [(n, m, args.format) for n, m in grid]
-    workers = min(args.parallel, len(grid), os.cpu_count() or 1)
+    rows = 1 if args.n is not None else args.n_max + 1
+    workers = min(args.parallel, rows, os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_render_pair, tasks, chunksize=args.m_max))
-        except WorkerError as exc:  # a worker could not start, raised or died
-            return _internal_error(exc)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_render_pair, tasks, chunksize=args.m_max))
     else:
         results = [_render_pair(task) for task in tasks]
 
@@ -261,13 +262,14 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
 
 
 class WorkerError(Exception):
-    """A pool worker could not start, raised (its exception's message) or died."""
+    """A pool worker could not start, raised (its exception's `_reason`) or died."""
 
 
 class ProcessPoolExecutor:
     """The `--parallel` pool: W forked workers, one pipe each, no threads.
 
-    Chunk c of `map`'s tasks goes to worker c % W, which writes each
+    W is `max_workers`, which the caller keeps to at most the number of
+    chunks. Chunk c of `map`'s tasks goes to worker c % W, which writes each
     `(holds, text)` result down its pipe as a flag digit and the text,
     NUL-terminated; `map` returns the results in task order. It raises
     `WorkerError` if a worker could not be forked, raised, died or cut its
@@ -298,10 +300,9 @@ class ProcessPoolExecutor:
         import signal  # noqa: F401  (loaded once here, not in each worker's `_work`)
 
         chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-        workers = min(self.max_workers, len(chunks))
         counts = {}  # read end -> number of results expected
-        for w in range(workers):
-            share = [x for chunk in chunks[w::workers] for x in chunk]
+        for w in range(self.max_workers):
+            share = [x for chunk in chunks[w::self.max_workers] for x in chunk]
             fds = ()
             try:
                 fds = read_end, write_end = os.pipe()
@@ -322,7 +323,8 @@ class ProcessPoolExecutor:
                 if not data:  # EOF: the worker is done
                     results[fd] = iter(self._reap(fd, b"".join(streams[fd]), counts[fd]))
         per_worker = [results[fd] for fd in counts]
-        return [next(per_worker[c % workers]) for c, chunk in enumerate(chunks) for _ in chunk]
+        return [next(per_worker[c % len(per_worker)]) for c, chunk in enumerate(chunks)
+                for _ in chunk]
 
     def _work(self, fd: int, fn, tasks: list) -> None:
         """Run in a forked worker: send the results of `tasks` down `fd`, then exit."""
@@ -338,7 +340,7 @@ class ProcessPoolExecutor:
                         out.write(b"%d%s\0" % (holds, text.encode()))
                     code = 0
                 except Exception as exc:
-                    out.write(b"E%s\0" % str(exc).encode())
+                    out.write(b"E%s\0" % _reason(exc).encode())
         finally:
             os._exit(code)  # no stdio flush, atexit or teardown of the caller
 
@@ -402,13 +404,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("eulercong: interrupted", file=sys.stderr)
         return 130
-    except Exception as exc:  # a broken invariant, or any other bug of the package
-        return _internal_error(exc)
+    except Exception as exc:  # a broken invariant, a failed worker, any other bug
+        print(f"eulercong: internal error: {_reason(exc)}", file=sys.stderr)
+        return 3
 
 
-def _internal_error(exc: Exception) -> int:
-    print(f"eulercong: internal error: {exc}", file=sys.stderr)
-    return 3
+def _reason(exc: Exception) -> str:
+    """The message of `exc`, or its type's name when it has none."""
+    return str(exc) or type(exc).__name__
 
 
 if __name__ == "__main__":

@@ -78,9 +78,8 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        g = gcd(self.den, other.den)  # over the lcm of the two denominators
-        a, b = self.den // g, other.den // g
-        return _over(add(mul(self.num, [b]), other.num, a), a * other.den)
+        return _over(add(mul(self.num, [other.den]), other.num, self.den),
+                     self.den * other.den)
 
     def __neg__(self) -> "Poly":
         return self * -1
@@ -100,16 +99,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        # Repeated squaring; k = 0 gives 1 (0^0 = 1, empty-product convention).
+        # k = 0 gives 1 (0^0 = 1, empty-product convention).
         if k < 0:
             raise ValueError("negative polynomial power")
         result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:

@@ -72,11 +72,7 @@ class RatFunc:
 
     def __add__(self, other: Liftable) -> "RatFunc":
         o = RatFunc.lift(other)
-        # Reduce by gcd of denominators first to limit intermediate degree.
-        g = poly_gcd(self.den, o.den) if not (self.den == ONE or o.den == ONE) else ONE
-        da = exact_div(self.den, g) if g.degree > 0 else self.den
-        db = exact_div(o.den, g) if g.degree > 0 else o.den
-        return RatFunc(self.num * db + o.num * da, da * o.den)
+        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)

@@ -145,6 +145,22 @@ def test_out_of_cap_exits_2(capsys):
     assert err.endswith("error: --parallel must be >= 1\n")
 
 
+def test_eulerian_method_error_exits_3(capsys, monkeypatch):
+    # Only the brute-force cap is a usage error, and it is checked before
+    # the method runs; any other ValueError is an internal error.
+    def fail(n):
+        raise ValueError("n must be nonnegative")
+
+    monkeypatch.setitem(cli.METHODS, "gf", fail)
+    code, out, err = run(capsys, "eulerian", "--n", "5", "--method", "gf")
+    assert (code, out, err) == (3, "", "eulercong: internal error: n must be nonnegative\n")
+    monkeypatch.setitem(cli.METHODS, "bruteforce", fail)
+    code, out, err = run(capsys, "eulerian", "--n", "10", "--method", "bruteforce")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ")
+    assert err.endswith("error: brute force capped at n <= 9 (got 10)\n")
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run(capsys, "verify", "--bogus")
     assert code == 2
@@ -229,17 +245,17 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    code, par, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
+    code, par, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
                        "--format", "json", "--parallel", "100000")
     assert code == 0
-    assert sizes == [2]  # the grid has two pairs
+    assert sizes == [2]  # the grid has two rows
     assert chunksizes == [2]  # one grid row per task
-    code, seq, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
+    code, seq, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
                        "--format", "json")
     assert par == seq
     # One CPU: a one-worker pool would only add cost, so none is built.
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    code, one_cpu, _ = run(capsys, "verify", "--n-max", "0", "--m-max", "2",
+    code, one_cpu, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
                            "--format", "json", "--parallel", "2")
     assert code == 0
     assert sizes == [2]
@@ -434,6 +450,20 @@ def test_worker_raising_other_error_exits_3(capsys, monkeypatch, deadline):
     assert run(capsys, *argv) == parallel
 
 
+def _raise_memory(*args):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]], ids=["serial", "parallel"])
+def test_internal_error_without_message_names_its_type(capsys, monkeypatch, deadline,
+                                                       parallel):
+    monkeypatch.setattr(cli, "verify_congruence", _raise_memory)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "1", "--m-max", "2", *parallel)
+    assert (code, out, err) == (3, "", "eulercong: internal error: MemoryError\n")
+    assert_no_child()
+
+
 def test_pool_workers_ignore_sigint(capsys, monkeypatch, deadline):
     # Ctrl-C is for the parent alone, which then kills and reaps the workers.
     parent, verify = os.getpid(), congruence.verify_congruence
@@ -491,6 +521,25 @@ def test_real_pool_output_is_serial_bytes(capsys, monkeypatch, deadline, fmt):
     assert_no_child()
 
 
+@pytest.mark.parametrize("pairs", [["--n-max", "0", "--m-max", "4"],
+                                   ["--n", "3", "--m", "4"]])
+def test_one_row_builds_no_pool(capsys, monkeypatch, pairs):
+    # Workers are dealt whole grid rows, so a second one would sit idle.
+    built = []
+
+    class RecordingPool(InlinePool):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["verify", *pairs]
+    serial = run(capsys, *argv)
+    assert run(capsys, *argv, "--parallel", "2") == serial
+    assert serial[0] == 0
+    assert built == []
+
+
 def test_no_fork_runs_serially(capsys, monkeypatch):
     # Where os.fork is missing (Windows), --parallel builds no pool.
     built = []
@@ -501,6 +550,36 @@ def test_no_fork_runs_serially(capsys, monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert run(capsys, *argv, "--parallel", "2") == serial
     assert built == []
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["verify", "--n-max", "6", "--m-max", "5", "--format", "json", "--parallel", "2"],
+     "verify-grid-6x5.json"),
+    (["verify", "--n-max", "6", "--m-max", "5", "--format", "latex"], "verify-grid-6x5.latex"),
+    (["verify", "--n-max", "6", "--m-max", "5"], "verify-grid-6x5.plain"),
+    *[(["trace", "--n", "6", "--m", "4", "--format", fmt], f"trace-6-4.{fmt}")
+      for fmt in ("plain", "json", "latex")],
+    *[(["eulerian", "--n", "5", "--method", method], "eulerian-5.plain")
+      for method in ("recurrence", "bruteforce", "gf")],
+])
+def test_cli_runs_no_rational_arithmetic(capsys, monkeypatch, deadline, argv, golden):
+    # Poly and RatFunc sums, Poly powers and poly_gcd serve the library
+    # and the tests alone: no subcommand calls them.
+    from eulercong import poly, ratfunc
+
+    def unused(*args):
+        raise AssertionError("the CLI ran rational arithmetic")
+
+    for owner, name in [(poly.Poly, "__add__"), (poly.Poly, "__pow__"),
+                        (ratfunc.RatFunc, "__add__"), (poly, "poly_gcd"),
+                        (ratfunc, "poly_gcd")]:
+        monkeypatch.setattr(owner, name, unused)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(capsys, *argv) == (0, (GOLDEN / golden).read_text(), "")
+    assert_no_child()
 
 
 def cli_env() -> dict:
