@@ -23,12 +23,12 @@ atexit handler still runs, stdout and stderr are still flushed, and the
 process exits with the code `main` returned. A call `main([...])` from a
 host program or a test keeps the normal teardown.
 
-verify renders each pair where it is computed and keeps only the output
-text, which it writes once at the end, so its memory is bounded by the
-output. `--parallel W` forks min(W, grid rows, CPUs) workers, where
-`os.fork` exists and that number is at least 2, and otherwise runs
+verify renders each pair where it is computed and keeps only its text,
+which it writes at the end in pieces of about 256 kB, so it holds the
+output about once. `--parallel W` forks min(W, grid rows, CPUs) workers,
+where `os.fork` exists and that number is at least 2, and otherwise runs
 serially with the same bytes. Grid rows are dealt out to the workers in
-turn, and each sends its rendered text back down its own pipe. On
+turn, and each sends its texts down its own pipe as one value. On
 SIGINT, or when a worker fails, the workers still alive are killed and
 reaped. Every format of a verify pair is written from the report's
 integer certificate, its numerators over one common denominator, by
@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import marshal
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -232,10 +233,13 @@ def _cmd_verify(args, parser) -> int:
         results = [_render_pair(task) for task in tasks]
 
     holds, texts = zip(*results)
-    if args.format == "json":
-        print("[\n" + ",\n".join(texts) + "\n]")
-    else:
-        print("\n".join(texts))
+    sep, head, tail = (",\n", "[\n", "\n]\n") if args.format == "json" else ("\n", "", "\n")
+    start = size = 0
+    for i, text in enumerate(texts, 1):  # joined in pieces of about 256 kB
+        size += len(text)
+        if size >= 1 << 18 or i == len(texts):
+            print(head, sep.join(texts[start:i]), sep="", end=sep if i < len(texts) else tail)
+            head, start, size = "", i, 0
     return 0 if all(holds) else 1
 
 
@@ -269,15 +273,15 @@ class ProcessPoolExecutor:
     """The `--parallel` pool: W forked workers, one pipe each, no threads.
 
     W is `max_workers`, which the caller keeps to at most the number of
-    chunks. Chunk c of `map`'s tasks goes to worker c % W, which writes each
-    `(holds, text)` result down its pipe as a flag digit and the text,
-    NUL-terminated; `map` returns the results in task order. It raises
-    `WorkerError` if a worker could not be forked, raised, died or cut its
-    stream short, and `__exit__` kills and reaps every worker still alive.
-    A worker ignores Ctrl-C: the parent alone handles SIGINT, and
-    `__exit__` then kills the workers. The name and `map`'s signature are
-    `concurrent.futures`', which tests' fakes and the benchmark's tracer
-    put in this class's place.
+    chunks. Chunk c of `map`'s tasks goes to worker c % W, which renders
+    its whole share, then sends one `marshal` value down its pipe: its
+    `(holds, text)` results, or the reason it failed. `map` reads whichever
+    worker is done first and returns the results in task order. It raises
+    `WorkerError` if a worker could not be forked, raised or died, and
+    `__exit__` kills and reaps every worker still alive. A worker ignores
+    Ctrl-C: the parent alone handles SIGINT, and `__exit__` then kills the
+    workers. The name and `map`'s signature are `concurrent.futures`',
+    which tests' fakes and the benchmark's tracer put in this class's place.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -300,7 +304,7 @@ class ProcessPoolExecutor:
         import signal  # noqa: F401  (loaded once here, not in each worker's `_work`)
 
         chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-        counts = {}  # read end -> number of results expected
+        counts, results = {}, {}  # read end -> its worker's result count, and results
         for w in range(self.max_workers):
             share = [x for chunk in chunks[w::self.max_workers] for x in chunk]
             fds = ()
@@ -315,13 +319,9 @@ class ProcessPoolExecutor:
                 self._work(write_end, fn, share)
             os.close(write_end)
             self.pids[read_end], counts[read_end] = pid, len(share)
-        streams, results = {fd: [] for fd in counts}, {}  # the chunks read so far
         while self.pids:
             for fd in select.select(list(self.pids), [], [])[0]:
-                data = os.read(fd, 1 << 16)
-                streams[fd].append(data)
-                if not data:  # EOF: the worker is done
-                    results[fd] = iter(self._reap(fd, b"".join(streams[fd]), counts[fd]))
+                results[fd] = iter(self._reap(fd, counts[fd]))
         per_worker = [results[fd] for fd in counts]
         return [next(per_worker[c % len(per_worker)]) for c, chunk in enumerate(chunks)
                 for _ in chunk]
@@ -332,29 +332,29 @@ class ProcessPoolExecutor:
         try:
             import signal  # already loaded by `map`
 
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            try:
+                value = [fn(task) for task in tasks]
+            except Exception as exc:
+                value = _reason(exc)
             with open(fd, "wb") as out:
-                try:
-                    signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    for task in tasks:
-                        holds, text = fn(task)
-                        out.write(b"%d%s\0" % (holds, text.encode()))
-                    code = 0
-                except Exception as exc:
-                    out.write(b"E%s\0" % _reason(exc).encode())
+                marshal.dump(value, out)
+            code = 0
         finally:
             os._exit(code)  # no stdio flush, atexit or teardown of the caller
 
-    def _reap(self, fd: int, stream: bytes, expected: int) -> list[tuple[bool, str]]:
+    def _reap(self, fd: int, expected: int) -> list[tuple[bool, str]]:
+        data = open(fd, "rb", buffering=0, closefd=False).read()  # written once done
         os.close(fd)
         code = os.waitstatus_to_exitcode(os.waitpid(self.pids.pop(fd), 0)[1])
-        *records, tail = stream.decode().split("\0")
-        if records and records[-1].startswith("E"):
-            raise WorkerError(records[-1][1:])
-        if code or tail or len(records) != expected:
+        if code or not data:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             raise WorkerError(f"a worker process died ({how}) "
-                              f"after {len(records)} of {expected} results")
-        return [(r[0] == "1", r[1:]) for r in records]
+                              f"after 0 of {expected} results")
+        value = marshal.loads(data)
+        if isinstance(value, str):
+            raise WorkerError(value)
+        return value
 
 
 def _cmd_trace(args, parser) -> int:

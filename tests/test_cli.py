@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -435,19 +436,60 @@ def test_worker_killed_by_signal_exits_3_and_leaves_no_child(capsys, monkeypatch
     assert_no_child()
 
 
-def test_worker_raising_other_error_exits_3(capsys, monkeypatch, deadline):
+@pytest.mark.parametrize("message", ["not an arithmetic error", "a\0b", "bad \udc80 byte"],
+                         ids=["text", "nul", "surrogate"])
+def test_worker_raising_other_error_exits_3(capsys, monkeypatch, deadline, message):
     # Any exception in a worker ends the run with exit 3; none hangs it.
-    # A serial run reports the same exception with the same code and line.
+    # A serial run reports the same exception with the same code and line,
+    # also when its message holds a NUL or a lone surrogate.
     def fail(n, m):
-        raise ValueError("not an arithmetic error")
+        raise ValueError(message)
 
     monkeypatch.setattr(cli, "verify_congruence", fail)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sys.stderr.reconfigure(errors="backslashreplace")  # as the interpreter's own stderr
     argv = ["verify", "--n-max", "3", "--m-max", "3"]
     parallel = run(capsys, *argv, "--parallel", "2")
-    assert parallel == (3, "", "eulercong: internal error: not an arithmetic error\n")
+    line = message.encode("utf-8", "backslashreplace").decode()
+    assert parallel == (3, "", f"eulercong: internal error: {line}\n")
     assert_no_child()
     assert run(capsys, *argv) == parallel
+
+
+class DevnullCounter:
+    """A stdout that writes to os.devnull and counts what it is given."""
+
+    def __init__(self, file):
+        self.file, self.size = file, 0
+
+    def write(self, text):
+        self.size += len(text)
+        return self.file.write(text)
+
+    def flush(self):
+        self.file.flush()
+
+
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]], ids=["serial", "parallel"])
+def test_verify_holds_its_output_about_once(monkeypatch, deadline, parallel):
+    # The 20x20 JSON grid writes 4.85 MB. Its rows are held once and
+    # written with no copy of the whole; with the pool, one worker's value
+    # is also held as it is loaded. Two output sizes bound both.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with open(os.devnull, "w") as devnull:
+        out = DevnullCounter(devnull)
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--n-max", "20", "--m-max", "20", "--format", "json",
+                         *parallel])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert out.size > 4_800_000
+    assert peak < 2 * out.size
+    assert_no_child()
 
 
 def _raise_memory(*args):
