@@ -28,14 +28,16 @@ which it writes at the end in pieces of about 256 kB, so it holds the
 output about once. `--parallel W` forks min(W, grid rows, CPUs) workers,
 where `os.fork` exists and that number is at least 2, and otherwise runs
 serially with the same bytes. Grid rows are dealt out to the workers in
-turn, and each sends its texts down its own pipe as one value. On
-SIGINT, or when a worker fails, the workers still alive are killed and
-reaped. Every format of a verify pair is written from the report's
-integer certificate, its numerators over one common denominator, by
-`_intpoly.render` (plain and latex) or `_intpoly.fraction_strs` (json),
-so no `Poly` or `Fraction` is built. Those two are also what every
-`Poly` prints through. `dump_json` is the one indented writer of every
-subcommand and gives the bytes of `json.dumps(obj, indent=2)`.
+turn; each sends its texts down its own pipe as one value, ending at its
+first failure, and the parent raises the first failure in grid order, as
+a serial run does. On SIGINT, or when a worker could not start or died,
+the workers still alive are killed and reaped. Every format of a verify
+pair is written from the report's integer certificate, its numerators
+over one common denominator, by `_intpoly.render` (plain and latex) or
+`_intpoly.fraction_strs` (json), so no `Poly` or `Fraction` is built.
+Those two are also what every `Poly` prints through. `dump_json` is the
+one indented writer of every subcommand and gives the bytes of
+`json.dumps(obj, indent=2)`.
 
 Each subcommand imports only what it runs: `verify` (also with
 `--parallel`) loads `cli`, `congruence`, `eulerian` and `_intpoly`, and
@@ -274,14 +276,15 @@ class ProcessPoolExecutor:
 
     W is `max_workers`, which the caller keeps to at most the number of
     chunks. Chunk c of `map`'s tasks goes to worker c % W, which renders
-    its whole share, then sends one `marshal` value down its pipe: its
-    `(holds, text)` results, or the reason it failed. `map` reads whichever
-    worker is done first and returns the results in task order. It raises
-    `WorkerError` if a worker could not be forked, raised or died, and
-    `__exit__` kills and reaps every worker still alive. A worker ignores
-    Ctrl-C: the parent alone handles SIGINT, and `__exit__` then kills the
-    workers. The name and `map`'s signature are `concurrent.futures`',
-    which tests' fakes and the benchmark's tracer put in this class's place.
+    its share up to its first exception and sends one `marshal` list down
+    its pipe: its `(holds, text)` results, then that exception's `_reason`.
+    `map` reads the workers in turn, walks the chunks in task order and
+    raises `WorkerError` at the first reason, the failure a serial run
+    meets, or if a worker could not be forked or died. `__exit__` kills
+    and reaps every worker still alive. A worker ignores Ctrl-C: the
+    parent alone handles SIGINT, and `__exit__` then kills the workers.
+    The name and `map`'s signature are `concurrent.futures`', which
+    tests' fakes and the benchmark's tracer put in this class's place.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -300,11 +303,9 @@ class ProcessPoolExecutor:
         return False
 
     def map(self, fn, items: list, chunksize: int) -> list[tuple[bool, str]]:
-        import select
-        import signal  # noqa: F401  (loaded once here, not in each worker's `_work`)
+        import signal
 
         chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-        counts, results = {}, {}  # read end -> its worker's result count, and results
         for w in range(self.max_workers):
             share = [x for chunk in chunks[w::self.max_workers] for x in chunk]
             fds = ()
@@ -315,46 +316,39 @@ class ProcessPoolExecutor:
                 for fd in fds:
                     os.close(fd)
                 raise WorkerError(f"could not start a worker process: {exc}") from None
-            if pid == 0:
-                self._work(write_end, fn, share)
+            if pid == 0:  # the worker: its results up to its first failure, then why
+                code, value = 1, []
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    try:
+                        for task in share:
+                            value.append(fn(task))
+                    except Exception as exc:
+                        value.append(_reason(exc))
+                    with open(write_end, "wb") as out:
+                        marshal.dump(value, out)
+                    code = 0
+                finally:
+                    os._exit(code)  # no stdio flush, atexit or teardown of the caller
             os.close(write_end)
-            self.pids[read_end], counts[read_end] = pid, len(share)
-        while self.pids:
-            for fd in select.select(list(self.pids), [], [])[0]:
-                results[fd] = iter(self._reap(fd, counts[fd]))
-        per_worker = [results[fd] for fd in counts]
-        return [next(per_worker[c % len(per_worker)]) for c, chunk in enumerate(chunks)
-                for _ in chunk]
+            self.pids[read_end] = pid
+        per_worker = [iter(self._reap(fd)) for fd in list(self.pids)]
+        results = []
+        for c, chunk in enumerate(chunks):  # task order: the serial run's failure first
+            for _ in chunk:
+                results.append(next(per_worker[c % self.max_workers]))
+                if isinstance(results[-1], str):
+                    raise WorkerError(results[-1])
+        return results
 
-    def _work(self, fd: int, fn, tasks: list) -> None:
-        """Run in a forked worker: send the results of `tasks` down `fd`, then exit."""
-        code = 1
-        try:
-            import signal  # already loaded by `map`
-
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            try:
-                value = [fn(task) for task in tasks]
-            except Exception as exc:
-                value = _reason(exc)
-            with open(fd, "wb") as out:
-                marshal.dump(value, out)
-            code = 0
-        finally:
-            os._exit(code)  # no stdio flush, atexit or teardown of the caller
-
-    def _reap(self, fd: int, expected: int) -> list[tuple[bool, str]]:
+    def _reap(self, fd: int) -> list:
         data = open(fd, "rb", buffering=0, closefd=False).read()  # written once done
         os.close(fd)
         code = os.waitstatus_to_exitcode(os.waitpid(self.pids.pop(fd), 0)[1])
         if code or not data:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            raise WorkerError(f"a worker process died ({how}) "
-                              f"after 0 of {expected} results")
-        value = marshal.loads(data)
-        if isinstance(value, str):
-            raise WorkerError(value)
-        return value
+            raise WorkerError(f"a worker process died ({how})")
+        return marshal.loads(data)
 
 
 def _cmd_trace(args, parser) -> int:

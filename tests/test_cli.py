@@ -432,7 +432,30 @@ def test_worker_killed_by_signal_exits_3_and_leaves_no_child(capsys, monkeypatch
     assert code == 3
     assert out == ""
     assert err == ("eulercong: internal error: a worker process died "
-                   f"(killed by signal {int(signal.SIGKILL)}) after 0 of 132 results\n")
+                   f"(killed by signal {int(signal.SIGKILL)})\n")
+    assert_no_child()
+
+
+def test_parallel_failure_is_the_serial_one(capsys, monkeypatch, deadline):
+    # Rows 2 and 3 both fail, in different workers. The worker of the even
+    # rows is slowed at (0, 1), so (3, 1) fails first in time; the run
+    # still reports (2, 1), the first failing pair in grid order, as a
+    # serial run does.
+    verify = congruence.verify_congruence
+
+    def slow_at_0_1_failing_at_2_1_and_3_1(n, m):
+        if (n, m) == (0, 1):
+            time.sleep(0.3)
+        if (n, m) in ((2, 1), (3, 1)):
+            raise ValueError(f"bad pair ({n}, {m})")
+        return verify(n, m)
+
+    monkeypatch.setattr(cli, "verify_congruence", slow_at_0_1_failing_at_2_1_and_3_1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "--n-max", "3", "--m-max", "1"]
+    expected = (3, "", "eulercong: internal error: bad pair (2, 1)\n")
+    assert run(capsys, *argv, "--parallel", "2") == expected
+    assert run(capsys, *argv) == expected
     assert_no_child()
 
 
@@ -553,12 +576,20 @@ def test_failed_fork_exits_3_and_leaves_no_child(capsys, monkeypatch, deadline):
         os.close(fd)
 
 
-@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
-def test_real_pool_output_is_serial_bytes(capsys, monkeypatch, deadline, fmt):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    argv = ["verify", "--n-max", "20", "--m-max", "12", "--format", fmt]
+# 21 rows go to two workers (11/10) or three (7/7/7); 20 rows to three
+# (7/7/6), where the worker count does not divide the rows.
+@pytest.mark.parametrize("fmt,workers,n_max", [
+    pytest.param(fmt, 2, 20, id=fmt) for fmt in ("plain", "latex", "json")
+] + [
+    pytest.param(fmt, 3, 20, id=f"{fmt}-3-workers") for fmt in ("plain", "latex", "json")
+] + [
+    pytest.param("json", 3, 19, id="json-3-workers-20-rows"),
+])
+def test_real_pool_output_is_serial_bytes(capsys, monkeypatch, deadline, fmt, workers, n_max):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["verify", "--n-max", str(n_max), "--m-max", "12", "--format", fmt]
     serial = run(capsys, *argv)
-    assert run(capsys, *argv, "--parallel", "2") == serial
+    assert run(capsys, *argv, "--parallel", str(workers)) == serial
     assert serial[0] == 0
     assert_no_child()
 

@@ -104,8 +104,10 @@ def test_trace_loads_no_pool():
                                     "eulercong.ratfunc"])
 
 
-# What the stdlib process pool would load; the CLI's own pool loads none.
-POOL_STDLIB = ("concurrent", "multiprocessing", "pickle", "logging", "socket")
+# What the stdlib process pool would load, and `select`, which a pool that
+# waits on its workers' pipes at once would; the CLI's own pool loads none.
+POOL_STDLIB = ("concurrent", "multiprocessing", "pickle", "logging", "socket",
+               "select")
 
 
 def test_parallel_verify_loads_the_pool():
