@@ -155,23 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_euler = sub.add_parser("eulerian", help="construct A_n(t)")
     p_euler.add_argument("--n", type=int, required=True)
     p_euler.add_argument("--method", choices=sorted(METHODS), default="recurrence")
-    p_euler.add_argument("--format", choices=["plain", "latex", "json"],
-                         default="plain")
 
     p_verify = sub.add_parser("verify", help="check the congruence mod (t-1)^(n+1)")
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--n-max", type=int, dest="n_max")
     p_verify.add_argument("--m-max", type=int, dest="m_max")
-    p_verify.add_argument("--format", choices=["plain", "latex", "json"],
-                          default="plain")
-    p_verify.add_argument("--parallel", type=int, default=1, metavar="W")
 
     p_trace = sub.add_parser("trace", help="replay the proof steps for one (n, m)")
     p_trace.add_argument("--n", type=int, required=True)
     p_trace.add_argument("--m", type=int, required=True)
-    p_trace.add_argument("--format", choices=["plain", "latex", "json"],
-                         default="plain")
+    for p in (p_euler, p_verify, p_trace):
+        p.add_argument("--format", choices=["plain", "latex", "json"], default="plain")
+    p_verify.add_argument("--parallel", type=int, default=1, metavar="W")
 
     return parser
 

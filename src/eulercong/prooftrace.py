@@ -14,23 +14,22 @@ Every step is recomputed in exact arithmetic and cross-checked:
 
 `full_trace` records each check as a boolean of its report
 (diff_equals_series, telescopes, den_nonzero_at_one, divisors_bounded);
-all_checks is their conjunction.
+all_checks is their conjunction. The telescoping check follows the
+proof: it divides G_m^(n+1) exactly by each reported denominator and
+requires the signed sum of numerators times quotients to be zero.
 
 All arithmetic runs on the integer lists of `_intpoly`. Every
-denominator divides a power of t^m - 1 = prod_{d|m} Phi_d, so each value
-is an integer numerator over prod Phi_d^(e_d) with
-G_m = prod_{d|m, d>1} Phi_d. A value is brought to lowest terms by exact
-trial division of the numerator by each monic cyclotomic polynomial
-Phi_d, never by a polynomial gcd, and only the reported values are built
-as `RatFunc`, straight from the reduced pair. Series quotients are
-divided in EGF-normalised integer form (`_intpoly.egf_quotient`).
+denominator divides a power of t^m - 1 = prod_{d|m} Phi_d, so a reported
+value is reduced by exact trial division by each cyclotomic Phi_d, never
+by a polynomial gcd. Series quotients are divided in EGF-normalised
+integer form (`_intpoly.egf_quotient`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple, Optional
 
 from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, kernel, mul,
@@ -100,10 +99,6 @@ def _reduce(num: list[int], den: list[int], phis: list[list[int]],
     return num, den, exps
 
 
-def _ratfunc(num: list[int], den: list[int]) -> RatFunc:
-    return RatFunc._from_reduced(_over(num), _over(den))
-
-
 def _binomial_sum(ns: list[list[int]], x: int, times_d) -> list[int]:
     """sum_l C(n,l) x^l ns[n-l] D^l, by Horner in D; times_d(p) is p * D.
 
@@ -144,8 +139,8 @@ def _ratio_numerators(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]
 
 def _over_tm_minus_one(num: list[int], m: int, n: int) -> RatFunc:
     """num / (t^m - 1)^(n+1) in lowest terms; t^m - 1 = prod_{d|m} Phi_d."""
-    den = times_binomial([1], m, n + 1)
-    return _ratfunc(*_reduce(num, den, cyclotomic(m), n + 1)[:2])
+    num, den, _ = _reduce(num, times_binomial([1], m, n + 1), cyclotomic(m), n + 1)
+    return RatFunc._from_reduced(_over(num), _over(den))
 
 
 def diff_rational(n: int, m: int) -> RatFunc:
@@ -193,24 +188,29 @@ def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
                              cyclotomic(m)[1:], n + 1)
     k = max(exps, default=0)
     exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k
-    return _ratfunc(num, den), exponent
+    return RatFunc._from_reduced(_over(num), _over(den)), exponent
 
 
 def _telescopes(per_j: tuple[RatioTerm, ...], series_value: RatFunc, m: int, n: int) -> bool:
-    """Do the per-j values, brought over G_m^(n+1), add up to the series value?"""
+    """Is sum_j per_j - series_value zero, by exact division of top = G_m^(n+1)?
+
+    Each denominator must be a monic integer polynomial (any monic divisor
+    of top is one, by Gauss's lemma); an lcm scales out numerator denominators.
+    """
     top = times_geometric([1], m, n + 1)
+    terms = [(1, term.value) for term in per_j] + [(-1, series_value)]
+    scale = lcm(*(value.num.den for _, value in terms))
     total: list[int] = []
-    for term in per_j:
-        cofactor, rem = divmod_exact(top, term.value.den.num)
-        if rem:
+    for sign, value in terms:
+        cofactor, rem = divmod_exact(top, value.den.num)
+        if rem or value.den.den != 1 or value.den.num[-1] != 1:
             return False
-        total = add(total, mul(term.value.num.num, cofactor))
-    return _ratfunc(*_reduce(total, top, cyclotomic(m)[1:], n + 1)[:2]) == series_value
+        total = add(total, mul(value.num.num, cofactor), sign * scale // value.num.den)
+    return not total
 
 
 def full_trace(n: int, m: int) -> TraceReport:
     """Run every proof step for one (n, m) and record all intermediates."""
-    _check_nm(n, m)
     diff_value = diff_rational(n, m)
     series_value = series_difference_coeff(n, m)
     per_j = tuple(

@@ -167,6 +167,23 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["eulerian"], "usage: eulercong eulerian [-h] --n N"
+                   " [--method {bruteforce,gf,recurrence}] [--format {plain,latex,json}]"),
+    (["verify", "--format", "bad"], "usage: eulercong verify [-h] [--n N] [--m M]"
+     " [--n-max N_MAX] [--m-max M_MAX] [--format {plain,latex,json}] [--parallel W]"),
+    (["trace", "--n", "1"], "usage: eulercong trace [-h] --n N --m M"
+                            " [--format {plain,latex,json}]"),
+])
+def test_subcommand_usage_keeps_option_order(capsys, argv, usage):
+    # argparse wraps the usage to the terminal width, so compare it with
+    # its whitespace normalised.
+    code, out, err = run(capsys, *argv)
+    head, sep, _ = err.partition(f"eulercong {argv[0]}: error: ")
+    assert (code, out, sep) == (2, "", f"eulercong {argv[0]}: error: ")
+    assert " ".join(head.split()) == usage
+
+
 def test_trace_plain(capsys):
     code, out, _ = run(capsys, "trace", "--n", "1", "--m", "2")
     assert code == 0

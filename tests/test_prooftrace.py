@@ -204,6 +204,11 @@ def _perturb_ratio(real, make_term):
         prooftrace.ratio_coeff,
         lambda v, k: (RatFunc._from_reduced(v.num, v.den * Poly([-1, 1])), k))),
      ["telescopes"]),
+    # Halved, the j = 1 value keeps its denominator and the integer
+    # numerators of its coefficients; only their common denominator 2
+    # tells it apart.
+    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
+        prooftrace.ratio_coeff, lambda v, k: (v * Fraction(1, 2), k))), ["telescopes"]),
 ])
 def test_failed_check_is_named(monkeypatch, patch, failed):
     patch(monkeypatch)
