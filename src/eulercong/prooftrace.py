@@ -16,7 +16,9 @@ Every step is recomputed in exact arithmetic and cross-checked:
 (diff_equals_series, telescopes, den_nonzero_at_one, divisors_bounded);
 all_checks is their conjunction. The telescoping check follows the
 proof: it divides G_m^(n+1) exactly by each reported denominator and
-requires the signed sum of numerators times quotients to be zero.
+requires the signed sum of numerators times quotients to be zero. The
+quotients' numerators are built in two forms, compared once per (m, n):
+a disagreement is an ArithmeticError. One trace builds G_m^(n+1) once.
 
 All arithmetic runs on the integer lists of `_intpoly`. Every
 denominator divides a power of t^m - 1 = prod_{d|m} Phi_d, so a reported
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, kernel, mul,
                        times_binomial, times_geometric, trim)
@@ -77,7 +79,7 @@ def _check_nm(n: int, m: int) -> None:
 # -- integer helpers -------------------------------------------------------
 
 
-def _reduce(num: list[int], den: list[int], phis: list[list[int]],
+def _reduce(num: list[int], den: list[int], phis: Sequence[Sequence[int]],
             e: int) -> tuple[list[int], list[int], list[int]]:
     """num / den in lowest terms, where den = prod Phi^e over phis.
 
@@ -113,25 +115,29 @@ def _binomial_sum(ns: list[list[int]], x: int, times_d) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _ratio_numerators(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Numerators of the x^n/n! coefficient of (1 - t^j e^(jx))/(1 - t^m e^(mx)).
+def _ratio_numerators(m: int, n: int) -> tuple[tuple, tuple, tuple]:
+    """G_m^(n+1), the factors Phi_d (1 < d | m) of G_m, and the ratio numerators.
 
-    Returns (geometric, direct), each indexed by j in [0, m). The geometric
-    form is sum_{i<j} t^i e^(ix) / sum_{i<m} t^i e^(ix), over G_m^(n+1);
-    the direct form is (1 - t^j e^(jx)) / (1 - t^m e^(mx)), over
-    (t^m - 1)^(n+1). Each denominator series is inverted once for all j.
+    Numerator j < m is the x^n/n! coefficient of (1 - t^j e^(jx))/(1 - t^m e^(mx)) times
+    G_m^(n+1), from sum_{i<j} t^i e^(ix) / sum_{i<m} t^i e^(ix). As it is built, it is checked
+    against the direct form over (t^m - 1)^(n+1) = G_m^(n+1) (t - 1)^(n+1).
     """
     times_g, times_d = partial(times_geometric, m=m), partial(times_binomial, e=m)
     s = [trim([i ** k for i in range(m)]) for k in range(n + 1)]
     r = egf_quotient([[1]] + [[]] * n, s, times_g)  # 1/S_m: r[k] / G_m^(k+1)
     w = kernel(m, n)  # 1/(1 - t^m e^(mx)): w[k] / (t^m - 1)^(k+1)
-    geometric, direct = [], []
+    geometric = []
     acc: list[int] = []
     for j in range(m):
+        direct = add(w[n], [0] * j + _binomial_sum(w, j, times_d), -1)
+        if times_binomial(acc, 1, n + 1) != direct:
+            raise ArithmeticError(
+                f"ratio forms disagree at j={j}, m={m}, n={n}: arithmetic bug"
+            )
         geometric.append(tuple(acc))
-        direct.append(tuple(add(w[n], [0] * j + _binomial_sum(w, j, times_d), -1)))
         acc = add(acc, [0] * j + _binomial_sum(r, j, times_g))
-    return tuple(geometric), tuple(direct)
+    phis = tuple(map(tuple, cyclotomic(m)[1:]))
+    return tuple(times_geometric([1], m, n + 1)), phis, tuple(geometric)
 
 
 # -- proof steps -------------------------------------------------------------
@@ -168,24 +174,17 @@ def series_difference_coeff(n: int, m: int) -> RatFunc:
 def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
     """EGF coefficient n of (1 - t^j e^(jx))/(1 - t^m e^(mx)).
 
-    Computed from the geometric-sum form and cross-checked against the
-    direct form; the two must agree identically. The second return is
-    the smallest exponent k <= n+1 with the reduced denominator dividing
+    Computed from the geometric-sum form, which `_ratio_numerators` checked
+    against the direct form. The second return is the smallest exponent
+    k <= n+1 with the reduced denominator dividing
     (1 + t + ... + t^(m-1))^k, confirmed by an exact division (None if
     that division leaves a remainder).
     """
     _check_nm(n, m)
     if not 0 <= j < m:
         raise ValueError("ratio term requires 0 <= j < m")
-    geometric, direct = _ratio_numerators(m, n)
-    num = list(geometric[j])
-    # G_m^(n+1) (t - 1)^(n+1) = (t^m - 1)^(n+1)
-    if times_binomial(num, 1, n + 1) != list(direct[j]):
-        raise ArithmeticError(
-            f"ratio forms disagree at j={j}, m={m}, n={n}: arithmetic bug"
-        )
-    num, den, exps = _reduce(num, times_geometric([1], m, n + 1),
-                             cyclotomic(m)[1:], n + 1)
+    top, phis, geometric = _ratio_numerators(m, n)
+    num, den, exps = _reduce(list(geometric[j]), list(top), phis, n + 1)
     k = max(exps, default=0)
     exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k
     return RatFunc._from_reduced(_over(num), _over(den)), exponent
@@ -197,7 +196,7 @@ def _telescopes(per_j: tuple[RatioTerm, ...], series_value: RatFunc, m: int, n: 
     Each denominator must be a monic integer polynomial (any monic divisor
     of top is one, by Gauss's lemma); an lcm scales out numerator denominators.
     """
-    top = times_geometric([1], m, n + 1)
+    top = _ratio_numerators(m, n)[0]
     terms = [(1, term.value) for term in per_j] + [(-1, series_value)]
     scale = lcm(*(value.num.den for _, value in terms))
     total: list[int] = []

@@ -299,15 +299,17 @@ def test_internal_error_exits_3(capsys, monkeypatch, module, target, argv):
 
 
 def test_ratio_forms_disagreeing_exits_3(capsys, monkeypatch):
-    # The direct form of the j = 1 ratio, perturbed, no longer matches the
-    # geometric form: an arithmetic invariant broke, not a proof check.
-    real = prooftrace._ratio_numerators
+    # A kernel perturbed in its last coefficient changes the direct form of
+    # the j = 1 ratio as the builder makes it, but not the geometric form: an
+    # arithmetic invariant broke, not a proof check.
+    real = prooftrace.kernel
 
-    def perturbed(m, n):
-        geometric, direct = real(m, n)
-        return geometric, (direct[0], (direct[1][0] + 1, *direct[1][1:]), *direct[2:])
+    def perturbed(c, n):
+        w = real(c, n)
+        return w[:-1] + [[w[-1][0] + 1, *w[-1][1:]]]
 
-    monkeypatch.setattr(prooftrace, "_ratio_numerators", perturbed)
+    monkeypatch.setattr(prooftrace, "kernel", perturbed)
+    prooftrace._ratio_numerators.cache_clear()
     code, out, err = run(capsys, "trace", "--n", "3", "--m", "2")
     assert code == 3
     assert out == ""

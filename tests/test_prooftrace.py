@@ -167,6 +167,12 @@ def test_trace_matches_ratfunc_oracle_random(n, m):
     _assert_matches_oracle(n, m)
 
 
+# m = 12 has six cyclotomic factors; the grids above reach at most four.
+@pytest.mark.parametrize("n", range(6))
+def test_trace_matches_ratfunc_oracle_m12(n):
+    _assert_matches_oracle(n, 12)
+
+
 def test_full_trace_runs_no_gcd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("generic reduction called under full_trace")
@@ -209,12 +215,37 @@ def _perturb_ratio(real, make_term):
     # tells it apart.
     (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
         prooftrace.ratio_coeff, lambda v, k: (v * Fraction(1, 2), k))), ["telescopes"]),
+    # The j = 1 denominator over 2: its integer coefficients still divide
+    # G_m^(n+1), but it is no longer a monic integer polynomial.
+    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
+        prooftrace.ratio_coeff,
+        lambda v, k: (RatFunc._from_reduced(v.num, v.den * Poly([Fraction(1, 2)])), k))),
+     ["telescopes"]),
 ])
 def test_failed_check_is_named(monkeypatch, patch, failed):
     patch(monkeypatch)
     rep = full_trace(3, 2)
     assert not rep.all_checks
     assert rep.failed_checks() == failed
+
+
+def test_telescoping_scales_out_numerator_denominators(monkeypatch):
+    # A half moved from the j = 1 term to the j = 0 term leaves their sum as
+    # it was, but gives both numerators the integer denominator 2: the check
+    # must scale the terms to a common denominator, not drop them.
+    real = prooftrace.ratio_coeff
+    half = Poly([Fraction(1, 2)])
+
+    def shifted(j, m, n):
+        value, exponent = real(j, m, n)
+        if j == 0:
+            value = RatFunc._from_reduced(-half, Poly([1]))
+        elif j == 1:
+            value = RatFunc._from_reduced(value.num + value.den * half, value.den)
+        return value, exponent
+
+    monkeypatch.setattr(prooftrace, "ratio_coeff", shifted)
+    assert full_trace(3, 2).failed_checks() == []
 
 
 def test_divisor_exponent_is_checked_by_division(monkeypatch):
@@ -228,3 +259,44 @@ def test_divisor_exponent_is_checked_by_division(monkeypatch):
 
     monkeypatch.setattr(prooftrace, "_reduce", stray_factor)
     assert ratio_coeff(1, 3, 2)[1] is None
+
+
+def test_divisor_exponent_is_confirmed_by_its_own_power(monkeypatch):
+    # One short on the last Phi_d, the j = 1 exponent k leaves G_m^k not
+    # divisible by the denominator. Dividing G_m^(n+1), which every reported
+    # denominator divides, would confirm it anyway.
+    real = prooftrace._reduce
+
+    def one_short(num, den, phis, e):
+        num, den, exps = real(num, den, phis, e)
+        if exps[-1] > 0:
+            exps[-1] -= 1
+        return num, den, exps
+
+    monkeypatch.setattr(prooftrace, "_reduce", one_short)
+    rep = full_trace(3, 2)
+    assert [term.divisor_exponent for term in rep.per_j] == [0, None]
+    assert rep.failed_checks() == ["divisors_bounded"]
+
+
+@pytest.mark.parametrize("n,m", [(5, 4), (2, 6)])
+def test_trace_builds_shared_polynomials_once(monkeypatch, n, m):
+    # The builder makes G_m^(n+1) and the Phi_d once per (m, n), next to the
+    # ratio numerators; ratio_coeff reads them and builds only its G_m^k.
+    calls = dict.fromkeys(["cyclotomic", "egf_quotient", "kernel", "times_geometric"], 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(prooftrace, name, counting(name, getattr(prooftrace, name)))
+    prooftrace._ratio_numerators.cache_clear()
+    full_trace(n, m)
+    assert calls["cyclotomic"] == 3  # diff_rational, series_difference_coeff, builder
+    calls.update(dict.fromkeys(calls, 0))
+    for j in range(m):
+        ratio_coeff(j, m, n)
+    assert calls == {"cyclotomic": 0, "egf_quotient": 0, "kernel": 0, "times_geometric": m}
