@@ -1,11 +1,12 @@
 """Source mutants that the tests must catch: python3 tests/mutation/run.py
 
-Each mutant is (file under src/, exact old text, new text, test files). For
-each one the script copies src/ to a temporary directory, replaces the old
-text, and runs the test files against the copy with pytest -x; the run must
-fail. The unmutated copy must pass the same files first. An old text that
-does not occur exactly once is an error, so a refactor that removes the
-mutated code fails here rather than leaving a mutant that tests nothing.
+Each mutant is (file under src/, exact old text, new text, tests), where the
+tests are test files or pytest node ids. The script copies src/ to a
+temporary directory; for each mutant it replaces the old text and runs the
+tests against the copy with pytest -x, and the run must fail. The
+unmutated copy must pass every mutant's tests first. An old text that does
+not occur exactly once is an error, so a refactor that removes the mutated
+code fails here rather than leaving a mutant that tests nothing.
 Exits 0 when every mutant is caught, 1 otherwise.
 """
 
@@ -18,30 +19,79 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 TRACE = "eulercong/prooftrace.py"
-TRACE_TESTS = ("tests/test_prooftrace.py",)
+CLI = "eulercong/cli.py"
+KERNELS = "eulercong/_intpoly.py"
+EULERIAN = "eulercong/eulerian.py"
 
 MUTANTS = [
     # The divisor exponent is never None.
     (TRACE, "exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k",
-     "exponent = k", TRACE_TESTS),
+     "exponent = k", ("tests/test_prooftrace.py::test_divisor_exponent_is_checked_by_division",)),
     # The divisor exponent is fixed at n+1.
-    (TRACE, "k = max(exps, default=0)", "k = n + 1", TRACE_TESTS),
+    (TRACE, "k = max(exps, default=0)", "k = n + 1",
+     ("tests/test_prooftrace.py::test_ratio_coeff_j_zero",
+      "tests/test_prooftrace.py::test_full_trace_n1_m2")),
     # The ratio-form check is switched off.
     (TRACE, "if times_binomial(acc, 1, n + 1) != direct:", "if False:",
-     ("tests/test_cli.py",)),
+     ("tests/test_cli.py::test_ratio_forms_disagreeing_exits_3",)),
     # den_nonzero_at_one is always true.
     (TRACE, '"den_nonzero_at_one": den_at_one != 0,', '"den_nonzero_at_one": True,',
-     TRACE_TESTS),
+     ("tests/test_prooftrace.py::test_failed_check_is_named",)),
     # The telescoping check's lcm scale is 1.
-    (TRACE, "scale = lcm(*(value.num.den for _, value in terms))", "scale = 1", TRACE_TESTS),
+    (TRACE, "scale = lcm(*(value.num.den for _, value in terms))", "scale = 1",
+     ("tests/test_prooftrace.py::test_telescoping_scales_out_numerator_denominators",)),
     # _reduce skips Phi_1 when it reduces over t^m - 1.
-    (TRACE, "cyclotomic(m), n + 1)", "cyclotomic(m)[1:], n + 1)", TRACE_TESTS),
+    (TRACE, "cyclotomic(m), n + 1)", "cyclotomic(m)[1:], n + 1)",
+     ("tests/test_prooftrace.py::test_diff_rational_n1_m2",
+      "tests/test_prooftrace.py::test_full_trace_n3_m3")),
     # M1: the telescoping check drops its monic-integer guard.
     (TRACE, "if rem or value.den.den != 1 or value.den.num[-1] != 1:", "if rem:",
-     TRACE_TESTS),
+     ("tests/test_prooftrace.py::test_failed_check_is_named",)),
     # M11: the exponent is confirmed by dividing G_m^(n+1), not G_m^k.
     (TRACE, "divmod_exact(times_geometric([1], m, k), den)", "divmod_exact(top, den)",
-     TRACE_TESTS),
+     ("tests/test_prooftrace.py::test_divisor_exponent_is_confirmed_by_its_own_power",)),
+    # The pool is not capped by the CPUs.
+    (CLI, "workers = min(args.parallel, rows, os.cpu_count() or 1)",
+     "workers = min(args.parallel, rows)", ("tests/test_cli.py::test_parallel_workers_bounded",)),
+    # __exit__ kills no worker; it still waits for each.
+    (CLI, "os.kill(pid, 9)  # SIGKILL", "pass",
+     ("tests/test_cli.py::test_worker_still_running_when_another_dies_is_killed",)),
+    # A worker keeps SIGINT.
+    (CLI, "signal.signal(signal.SIGINT, signal.SIG_IGN)", "signal.getsignal(signal.SIGINT)",
+     ("tests/test_cli.py::test_pool_workers_ignore_sigint",)),
+    # The whole output is joined at once.
+    (CLI, "if size >= 1 << 18 or i == len(texts):", "if i == len(texts):",
+     ("tests/test_cli.py::test_verify_holds_its_output_about_once[serial]",)),
+    # The binomial re-expansion drops its sign.
+    (KERNELS, "(-1) ** (i - j) * comb(i, j)", "comb(i, j)",
+     ("tests/test_intpoly.py::test_shifted_basis_reconstructs",
+      "tests/test_intpoly.py::test_remainder_taylor_shift")),
+    # The synthetic-division quotient comes out reversed.
+    (KERNELS, "cs = sums[-2::-1]", "cs = sums[:-1]",
+     ("tests/test_intpoly.py::test_remainder_exact_multiple",
+      "tests/test_congruence.py::test_verify_n1_m2_certificate")),
+    # The recurrence coefficient k + 2 - i is one too small.
+    (EULERIAN, "(k + 2 - i) * a[i]", "(k + 1 - i) * a[i]",
+     ("tests/test_eulerian.py::test_recurrence_known_values",)),
+    # The running sum of times_geometric spans m + 1 coefficients.
+    (KERNELS, "pad = [0] * (m - 1)", "pad = [0] * m",
+     ("tests/test_congruence.py::test_sides_n1_m2",
+      "tests/test_intpoly.py::test_times_geometric_is_a_power_of_g")),
+    # times_binomial multiplies by t^e + 1.
+    (KERNELS, "p = add([0] * e + p, p, -1)", "p = add([0] * e + p, p, 1)",
+     ("tests/test_eulerian.py::test_gf_known_values",
+      "tests/test_intpoly.py::test_times_binomial_is_a_power_of_t_e_minus_one")),
+    # times_binomial caps the power at 2.
+    (KERNELS, "for _ in range(k):\n        p = add(",
+     "for _ in range(min(k, 2)):\n        p = add(",
+     ("tests/test_prooftrace.py::test_denominator_divides_geometric_power",
+      "tests/test_intpoly.py::test_times_binomial_is_a_power_of_t_e_minus_one")),
+    # worpitzky_row takes one running sum too few.
+    (EULERIAN, "for _ in range(n + 1):", "for _ in range(n):",
+     ("tests/test_eulerian.py::test_worpitzky_examples",)),
+    # worpitzky_row truncates A_n one coefficient short.
+    (EULERIAN, "row = eulerian_row(n)[:K + 1]", "row = eulerian_row(n)[:K]",
+     ("tests/test_eulerian.py::test_worpitzky_power_row",)),
 ]
 
 

@@ -455,6 +455,34 @@ def test_worker_killed_by_signal_exits_3_and_leaves_no_child(capsys, monkeypatch
     assert_no_child()
 
 
+def test_worker_still_running_when_another_dies_is_killed(capsys, monkeypatch, deadline):
+    # Row 0's worker kills itself while row 1's sleeps at its pair: the
+    # parent kills the sleeper on the way out, rather than wait for it.
+    parent, verify = os.getpid(), congruence.verify_congruence
+
+    def killed_at_0_1_asleep_at_1_1(n, m):
+        if os.getpid() != parent:
+            if (n, m) == (0, 1):
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(5)
+        return verify(n, m)
+
+    real_waitpid, codes = os.waitpid, []
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    monkeypatch.setattr(cli, "verify_congruence", killed_at_0_1_asleep_at_1_1)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "1", "--parallel", "2")
+    assert (code, out) == (3, "")
+    assert codes == [-signal.SIGKILL, -signal.SIGKILL]
+    assert_no_child()
+
+
 def test_parallel_failure_is_the_serial_one(capsys, monkeypatch, deadline):
     # Rows 2 and 3 both fail, in different workers. The worker of the even
     # rows is slowed at (0, 1), so (3, 1) fails first in time; the run

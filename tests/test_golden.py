@@ -21,6 +21,7 @@ RUNS = {
     "trace-6-4": ["trace", "--n", "6", "--m", "4"],
     "trace-8-6": ["trace", "--n", "8", "--m", "6"],
 }
+FORMATS = ["plain", "latex", "json"]
 
 
 def output(capsys, argv):
@@ -28,12 +29,19 @@ def output(capsys, argv):
     return code, capsys.readouterr().out.encode()
 
 
-@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", RUNS)
 def test_golden_output(capsys, name, fmt):
     code, out = output(capsys, [*RUNS[name], "--format", fmt])
     assert code == 0
     assert out == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_no_golden_file_is_orphaned():
+    # CI runs the console script on what RUNS names, so a file outside it
+    # would go unchecked there.
+    files = {path.name for path in GOLDEN.iterdir()}
+    assert files == {f"{name}.{fmt}" for name in RUNS for fmt in FORMATS}
 
 
 def test_parallel_json_equals_serial(capsys):
