@@ -8,9 +8,9 @@ The names in `__all__`, the CLI-level API and its report types, are
 resolved lazily (PEP 562): `import eulercong` imports no submodule, and
 `eulercong.full_trace` imports `eulercong.prooftrace` on first access.
 So a CLI process loads only the modules its subcommand runs: `verify`
-(also with `--parallel`) loads `cli`, `congruence`, `eulerian` and
-`_intpoly`, and neither `poly` nor `fractions`; `eulerian` (every method)
-adds `poly`, and `trace` adds `poly`, `prooftrace` and `ratfunc`.
+(also with `--parallel`) loads `cli`, `congruence` and `_intpoly`, and
+neither `poly` nor `fractions`; `eulerian` (every method) adds `eulerian`
+and `poly`, and `trace` adds `poly`, `prooftrace` and `ratfunc`.
 """
 
 from importlib import import_module

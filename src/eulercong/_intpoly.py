@@ -1,5 +1,9 @@
 """Integer polynomial kernels shared by verify, trace and the gf construction.
 
+It also holds the two integer constructions of the Eulerian polynomial
+A_n: `eulerian_row` by the derivative recurrence, which verify and trace
+read, and `kernel`, the series division of 1/(1 - t e^x).
+
 A polynomial in t is a list of Python ints, ascending: index i is the
 coefficient of t^i. Results are trimmed (no trailing zeros, [] for the
 zero polynomial) unless a docstring says otherwise, and only `trim`
@@ -141,6 +145,26 @@ def kernel(c: int, n: int) -> list[list[int]]:
     """
     b = [times_binomial([1], c)] + [[0] * c + [c ** k] for k in range(1, n + 1)]
     return egf_quotient([[-1]] + [[]] * n, b, lambda p: times_binomial(p, c))
+
+
+# Rows of A_n as integer coefficient tuples, ascending; row n is A_n.
+# Extended on demand and never changed, so each row is built once per process.
+_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
+def eulerian_row(n: int) -> tuple[int, ...]:
+    """Integer coefficients of A_n(t), ascending, by the derivative recurrence.
+
+    A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), so the coefficient of
+    t^i in A_{k+1} is (k+2-i) a_{i-1} + i a_i.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    while len(_ROWS) <= n:
+        k = len(_ROWS) - 1
+        a = (0, *_ROWS[k], 0)  # a[i] is the coefficient of t^(i-1)
+        _ROWS.append(tuple((k + 2 - i) * a[i] + i * a[i + 1] for i in range(k + 2)))
+    return _ROWS[n]
 
 
 def fraction_strs(nums: list[int], den: int) -> list[str]:

@@ -40,9 +40,9 @@ one indented writer of every subcommand and gives the bytes of
 `json.dumps(obj, indent=2)`.
 
 Each subcommand imports only what it runs: `verify` (also with
-`--parallel`) loads `cli`, `congruence`, `eulerian` and `_intpoly`, and
-neither `poly` nor `fractions`; `eulerian` (every method) adds `poly`;
-`trace` adds `poly`, `prooftrace` and `ratfunc`. None loads
+`--parallel`) loads `cli`, `congruence` and `_intpoly`, and neither
+`poly` nor `fractions`; `eulerian` (every method) adds `eulerian` and
+`poly`; `trace` adds `poly`, `prooftrace` and `ratfunc`. None loads
 `concurrent.futures`, `dataclasses` or `json`.
 """
 
@@ -58,8 +58,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._intpoly import fraction_strs, render
 from .congruence import verify_congruence
-from .eulerian import (BRUTEFORCE_CAP, eulerian_bruteforce, eulerian_from_gf,
-                       eulerian_recurrence)
 
 if TYPE_CHECKING:
     from .congruence import CongruenceReport
@@ -75,10 +73,11 @@ M_CAP = 64
 TRACE_N_CAP = 40
 TRACE_M_CAP = 40
 
+# --method name -> its construction in `eulerian`.
 METHODS = {
-    "recurrence": eulerian_recurrence,
-    "bruteforce": eulerian_bruteforce,
-    "gf": eulerian_from_gf,
+    "recurrence": "eulerian_recurrence",
+    "bruteforce": "eulerian_bruteforce",
+    "gf": "eulerian_from_gf",
 }
 
 
@@ -185,9 +184,11 @@ def _check_caps(parser: argparse.ArgumentParser, n: int, m: int = 1,
 
 def _cmd_eulerian(args, parser) -> int:
     _check_caps(parser, args.n)
-    if args.method == "bruteforce" and args.n > BRUTEFORCE_CAP:
-        parser.error(f"brute force capped at n <= {BRUTEFORCE_CAP} (got {args.n})")
-    ep = METHODS[args.method](args.n)
+    from . import eulerian  # only the path that uses it pays for it
+
+    if args.method == "bruteforce" and args.n > eulerian.BRUTEFORCE_CAP:
+        parser.error(f"brute force capped at n <= {eulerian.BRUTEFORCE_CAP} (got {args.n})")
+    ep = getattr(eulerian, METHODS[args.method])(args.n)
     if args.format == "plain":
         print(ep.poly)
     elif args.format == "latex":

@@ -18,8 +18,8 @@ from __future__ import annotations
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._intpoly import add, divide_by_shift, from_shift_basis, mul, times_geometric, trim
-from .eulerian import eulerian_row
+from ._intpoly import (add, divide_by_shift, eulerian_row, from_shift_basis, mul,
+                       times_geometric, trim)
 
 if TYPE_CHECKING:
     from .poly import Poly

@@ -6,22 +6,20 @@ generating function sum_n A_n(t)/(1-t)^(n+1) x^n/n! = 1/(1 - t e^x),
 so A_1(t) = t (NOT the also-common A_1(t) = 1). The congruence this
 package verifies is false under the other convention.
 
-`eulerian_row` builds the integer rows; `Poly` and `Fraction` are
-imported only by the functions that return them, so verify loads
-neither.
+These are the rational layer's constructions, which return `Poly` and
+`Fraction` values. The recurrence and the gf start from the integer
+constructions `_intpoly.eulerian_row` and `_intpoly.kernel`, which
+verify and trace read directly, so neither loads this module.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate, permutations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from ._intpoly import kernel
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .poly import Poly
+from ._intpoly import eulerian_row, kernel
+from .poly import Poly
 
 BRUTEFORCE_CAP = 9
 
@@ -31,37 +29,13 @@ class EulerianPoly(NamedTuple):
     poly: Poly
 
 
-# Rows of A_n as integer coefficient tuples, ascending; row n is A_n.
-# Extended on demand and never changed, so each row is built once per process.
-_ROWS: list[tuple[int, ...]] = [(1,)]
-
-
-def eulerian_row(n: int) -> tuple[int, ...]:
-    """Integer coefficients of A_n(t), ascending, by the derivative recurrence.
-
-    A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), so the coefficient of
-    t^i in A_{k+1} is (k+2-i) a_{i-1} + i a_i.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    while len(_ROWS) <= n:
-        k = len(_ROWS) - 1
-        a = (0, *_ROWS[k], 0)  # a[i] is the coefficient of t^(i-1)
-        _ROWS.append(tuple((k + 2 - i) * a[i] + i * a[i + 1] for i in range(k + 2)))
-    return _ROWS[n]
-
-
 def eulerian_recurrence(n: int) -> EulerianPoly:
     """A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), from A_0 = 1."""
-    from .poly import Poly
-
     return EulerianPoly(n, Poly(eulerian_row(n)))
 
 
 def eulerian_bruteforce(n: int) -> EulerianPoly:
     """Descent enumeration over all n! permutations; the trusted oracle."""
-    from .poly import Poly
-
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > BRUTEFORCE_CAP:
@@ -82,8 +56,6 @@ def eulerian_from_gf(n: int) -> EulerianPoly:
     from the integer series division `_intpoly.kernel`, so
     A_n = (-1)^(n+1) N_n. It shares no code with the recurrence.
     """
-    from .poly import Poly
-
     if n < 0:
         raise ValueError("n must be nonnegative")
     sign = -1 if n % 2 == 0 else 1
@@ -96,8 +68,6 @@ def worpitzky_row(n: int, K: int) -> list[Fraction]:
     Dividing a series by 1 - t takes its running sums, so this is n+1
     running sums over the coefficients of A_n (0^0 = 1).
     """
-    from fractions import Fraction
-
     if n < 0 or K < 0:
         raise ValueError("n and K must be nonnegative")
     row = eulerian_row(n)[:K + 1]

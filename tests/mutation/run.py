@@ -59,6 +59,9 @@ MUTANTS = [
     # A worker keeps SIGINT.
     (CLI, "signal.signal(signal.SIGINT, signal.SIG_IGN)", "signal.getsignal(signal.SIGINT)",
      ("tests/test_cli.py::test_pool_workers_ignore_sigint",)),
+    # The CLI refuses brute force at its cap, n = 9.
+    (CLI, "args.n > eulerian.BRUTEFORCE_CAP", "args.n >= eulerian.BRUTEFORCE_CAP",
+     ("tests/test_cli.py::test_bruteforce_runs_at_its_cap",)),
     # The whole output is joined at once.
     (CLI, "if size >= 1 << 18 or i == len(texts):", "if i == len(texts):",
      ("tests/test_cli.py::test_verify_holds_its_output_about_once[serial]",)),
@@ -71,7 +74,7 @@ MUTANTS = [
      ("tests/test_intpoly.py::test_remainder_exact_multiple",
       "tests/test_congruence.py::test_verify_n1_m2_certificate")),
     # The recurrence coefficient k + 2 - i is one too small.
-    (EULERIAN, "(k + 2 - i) * a[i]", "(k + 1 - i) * a[i]",
+    (KERNELS, "(k + 2 - i) * a[i]", "(k + 1 - i) * a[i]",
      ("tests/test_eulerian.py::test_recurrence_known_values",)),
     # The running sum of times_geometric spans m + 1 coefficients.
     (KERNELS, "pad = [0] * (m - 1)", "pad = [0] * m",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from eulercong import cli, congruence, prooftrace
+from eulercong import cli, congruence, eulerian, prooftrace
 from eulercong.cli import dump_json, main
 
 REPORT_KEYS = ["n", "m", "holds", "lhs", "rhs", "remainder", "cofactor"]
@@ -146,16 +146,24 @@ def test_out_of_cap_exits_2(capsys):
     assert err.endswith("error: --parallel must be >= 1\n")
 
 
+def test_bruteforce_runs_at_its_cap(capsys):
+    # n = 9, the largest the CLI accepts: 9! permutations, about 0.5 s.
+    code, out, err = run(capsys, "eulerian", "--n", "9", "--method", "bruteforce")
+    assert (code, err) == (0, "")
+    assert out == ("t + 502*t^2 + 14608*t^3 + 88234*t^4 + 156190*t^5 + 88234*t^6"
+                   " + 14608*t^7 + 502*t^8 + t^9\n")
+
+
 def test_eulerian_method_error_exits_3(capsys, monkeypatch):
     # Only the brute-force cap is a usage error, and it is checked before
     # the method runs; any other ValueError is an internal error.
     def fail(n):
         raise ValueError("n must be nonnegative")
 
-    monkeypatch.setitem(cli.METHODS, "gf", fail)
+    monkeypatch.setattr(eulerian, "eulerian_from_gf", fail)
     code, out, err = run(capsys, "eulerian", "--n", "5", "--method", "gf")
     assert (code, out, err) == (3, "", "eulercong: internal error: n must be nonnegative\n")
-    monkeypatch.setitem(cli.METHODS, "bruteforce", fail)
+    monkeypatch.setattr(eulerian, "eulerian_bruteforce", fail)
     code, out, err = run(capsys, "eulerian", "--n", "10", "--method", "bruteforce")
     assert (code, out) == (2, "")
     assert err.startswith("usage: ")

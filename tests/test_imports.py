@@ -24,8 +24,7 @@ import sys
 print(sorted(k for k in sys.modules if k.split(".")[0] in {roots!r}))
 """
 
-CORE = ["eulercong", "eulercong._intpoly", "eulercong.cli", "eulercong.congruence",
-        "eulercong.eulerian"]
+CORE = ["eulercong", "eulercong._intpoly", "eulercong.cli", "eulercong.congruence"]
 
 # Every public name of the package's API: the names of `__all__`, and the
 # public functions that stay importable from their own submodule only.
@@ -87,15 +86,23 @@ def test_verify_loads_no_prooftrace():
 
 
 def test_gf_method_loads_only_the_core():
-    # eulerian prints a Poly, so it adds `poly` to what verify loads.
-    loaded = loaded_after(run_main("eulerian", "--n", "5", "--method", "gf"))
-    assert loaded == sorted(CORE + ["eulercong.poly"])
+    # The constructions return Polys, so eulerian, by every method, adds
+    # `eulerian` and `poly` to what verify loads.
+    for method in ("gf", "recurrence", "bruteforce"):
+        loaded = loaded_after(run_main("eulerian", "--n", "5", "--method", method))
+        assert loaded == sorted(CORE + ["eulercong.eulerian", "eulercong.poly"]), method
 
 
 def test_eulerian_module_loads_no_trace_or_series():
     loaded = loaded_after("import eulercong.eulerian")
     for name in ("eulercong.prooftrace", "eulercong.series", "eulercong.ratfunc"):
         assert name not in loaded
+
+
+@pytest.mark.parametrize("module", ["congruence", "prooftrace"])
+def test_integer_layers_load_no_eulerian(module):
+    # verify and trace read A_n's integer rows from `_intpoly`.
+    assert "eulercong.eulerian" not in loaded_after(f"import eulercong.{module}")
 
 
 def test_trace_loads_no_pool():
