@@ -1,8 +1,8 @@
 """Integer polynomial kernels shared by verify, trace and the gf construction.
 
-It also holds the two integer constructions of the Eulerian polynomial
-A_n: `eulerian_row` by the derivative recurrence, which verify and trace
-read, and `kernel`, the series division of 1/(1 - t e^x).
+It also holds the integer constructions of the Eulerian polynomial A_n
+(`eulerian_row` by the recurrence, `kernel` by series division of
+1/(1 - t e^x)) and the two sides of the congruence (`integer_sides`).
 
 A polynomial in t is a list of Python ints, ascending: index i is the
 coefficient of t^i. Results are trimmed (no trailing zeros, [] for the
@@ -165,6 +165,17 @@ def eulerian_row(n: int) -> tuple[int, ...]:
         a = (0, *_ROWS[k], 0)  # a[i] is the coefficient of t^(i-1)
         _ROWS.append(tuple((k + 2 - i) * a[i] + i * a[i + 1] for i in range(k + 2)))
     return _ROWS[n]
+
+
+def integer_sides(n: int, m: int) -> tuple[list[int], list[int]]:
+    """m^(n+1) A_n(t^m) and G_m^(n+1) A_n(t): both sides over m^(n+1)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    a = eulerian_row(n)
+    scale = m ** (n + 1)
+    lhs = [0] * ((len(a) - 1) * m + 1)
+    lhs[::m] = [scale * c for c in a]
+    return lhs, times_geometric(list(a), m, n + 1)
 
 
 def fraction_strs(nums: list[int], den: int) -> list[str]:

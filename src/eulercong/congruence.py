@@ -4,13 +4,13 @@ Checks A_n(t^m) == ((1 + t + ... + t^(m-1))/m)^(n+1) * A_n(t)
 modulo (t-1)^(n+1), over the rationals, and records a full audit
 certificate for every check.
 
-All arithmetic runs on the integer lists of `_intpoly`. The only true
-rational is the scale 1/m^(n+1), so a report keeps its certificate as
-integer numerator lists over one positive common denominator `den`
-(m^(n+1) in `verify_congruence`): the difference of the two sides is
-divided by (t-1) n+1 times, and the rational `Poly` fields are built
-only when read. `poly` and `fractions` are imported only then, so
-verify loads neither.
+The two sides come from `_intpoly.integer_sides`, and all arithmetic
+runs on `_intpoly`'s integer lists. The only true rational is the scale
+1/m^(n+1), so a report keeps its certificate as integer numerators over
+one positive common denominator `den` (m^(n+1) in `verify_congruence`):
+the difference of the sides is divided by (t-1) n+1 times. The rational
+`Poly` fields are built only when read, and only then are `poly` and
+`fractions` imported, so verify loads neither.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._intpoly import (add, divide_by_shift, eulerian_row, from_shift_basis, mul,
-                       times_geometric, trim)
+from ._intpoly import add, divide_by_shift, from_shift_basis, integer_sides, mul, trim
 
 if TYPE_CHECKING:
     from .poly import Poly
@@ -56,17 +55,6 @@ class CongruenceReport(NamedTuple):
     cofactor = property(lambda r: _over(r.cofactor_num, r.den))
 
 
-def _integer_sides(n: int, m: int) -> tuple[list[int], list[int]]:
-    """m^(n+1) A_n(t^m) and G_m^(n+1) A_n(t): both sides over m^(n+1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    a = eulerian_row(n)
-    scale = m ** (n + 1)
-    lhs = [0] * ((len(a) - 1) * m + 1)
-    lhs[::m] = [scale * c for c in a]
-    return lhs, times_geometric(list(a), m, n + 1)
-
-
 def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> CongruenceReport:
     """Reduce (lhs - rhs)/den modulo (t-1)^(n+1) and assemble the certificate."""
     difference = add(lhs, rhs, -1)
@@ -84,4 +72,4 @@ def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:
 
 
 def verify_congruence(n: int, m: int) -> CongruenceReport:
-    return _certify(n, m, *_integer_sides(n, m), m ** (n + 1))
+    return _certify(n, m, *integer_sides(n, m), m ** (n + 1))

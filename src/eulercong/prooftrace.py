@@ -20,11 +20,12 @@ requires the signed sum of numerators times quotients to be zero. The
 quotients' numerators are built in two forms, compared once per (m, n):
 a disagreement is an ArithmeticError. One trace builds G_m^(n+1) once.
 
-All arithmetic runs on the integer lists of `_intpoly`. Every
-denominator divides a power of t^m - 1 = prod_{d|m} Phi_d, so a reported
-value is reduced by exact trial division by each cyclotomic Phi_d, never
-by a polynomial gcd. Series quotients are divided in EGF-normalised
-integer form (`_intpoly.egf_quotient`).
+All arithmetic runs on the integer lists of `_intpoly`, the two sides of
+the congruence (`integer_sides`) included, so this module does not load
+`congruence`. Every denominator divides a power of t^m - 1 =
+prod_{d|m} Phi_d, so a reported value is reduced by exact trial division
+by each cyclotomic Phi_d, never by a polynomial gcd. Series quotients are
+divided in EGF-normalised integer form (`_intpoly.egf_quotient`).
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from functools import lru_cache, partial
 from math import comb, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, kernel, mul,
-                       times_binomial, times_geometric, trim)
-from .congruence import _integer_sides
+from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, integer_sides, kernel,
+                       mul, times_binomial, times_geometric, trim)
 from .poly import _over
 from .ratfunc import RatFunc
 
@@ -156,7 +156,7 @@ def diff_rational(n: int, m: int) -> RatFunc:
     the cleared difference of the two sides of the congruence.
     """
     _check_nm(n, m)
-    num = add(*_integer_sides(n, m), -1)
+    num = add(*integer_sides(n, m), -1)
     if n % 2 == 0:  # (1 - t^m)^(n+1) = -(t^m - 1)^(n+1)
         num = [-c for c in num]
     return _over_tm_minus_one(num, m, n)

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[2]
 TRACE = "eulercong/prooftrace.py"
 CLI = "eulercong/cli.py"
 KERNELS = "eulercong/_intpoly.py"
+CONGRUENCE = "eulercong/congruence.py"
 EULERIAN = "eulercong/eulerian.py"
 
 MUTANTS = [
@@ -89,6 +90,22 @@ MUTANTS = [
      "for _ in range(min(k, 2)):\n        p = add(",
      ("tests/test_prooftrace.py::test_denominator_divides_geometric_power",
       "tests/test_intpoly.py::test_times_binomial_is_a_power_of_t_e_minus_one")),
+    # The left side is scaled by m^n, not m^(n+1).
+    (KERNELS, "scale = m ** (n + 1)", "scale = m ** n",
+     ("tests/test_congruence.py::test_sides_n0_m3",
+      "tests/test_congruence.py::test_verify_n1_m2_certificate")),
+    # The right side takes G_m^n, not G_m^(n+1).
+    (KERNELS, "times_geometric(list(a), m, n + 1)", "times_geometric(list(a), m, n)",
+     ("tests/test_congruence.py::test_sides_n1_m2",
+      "tests/test_congruence.py::test_sides_n0_m3")),
+    # verify reduces modulo (t-1)^n, not (t-1)^(n+1).
+    (CONGRUENCE, "divide_by_shift(difference, n + 1)", "divide_by_shift(difference, n)",
+     ("tests/test_congruence.py::test_verify_n1_m2_certificate",
+      "tests/test_congruence.py::test_negative_control_unscaled_rhs")),
+    # Every certificate holds, whatever its remainder.
+    (CONGRUENCE, "not taylor", "True",
+     ("tests/test_congruence.py::test_negative_control_unscaled_rhs",
+      "tests/test_congruence.py::test_report_from_sides_matches_fraction_oracle")),
     # worpitzky_row takes one running sum too few.
     (EULERIAN, "for _ in range(n + 1):", "for _ in range(n):",
      ("tests/test_eulerian.py::test_worpitzky_examples",)),

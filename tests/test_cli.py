@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from eulercong import cli, congruence, eulerian, prooftrace
+from eulercong import _intpoly, cli, congruence, eulerian, prooftrace
 from eulercong.cli import dump_json, main
 
 REPORT_KEYS = ["n", "m", "holds", "lhs", "rhs", "remainder", "cofactor"]
@@ -223,8 +223,8 @@ def test_trace_latex(capsys):
 
 def test_trace_failed_check_exits_1_and_names_it(capsys, monkeypatch):
     # A_n under the A_1 = 1 convention breaks the proof at n >= 1.
-    real = congruence.eulerian_row
-    monkeypatch.setattr(congruence, "eulerian_row", lambda n: real(n)[1:] if n else real(n))
+    real = _intpoly.eulerian_row
+    monkeypatch.setattr(_intpoly, "eulerian_row", lambda n: real(n)[1:] if n else real(n))
     code, out, err = run(capsys, "trace", "--n", "3", "--m", "2")
     assert code == 1
     assert out.startswith("n=3 m=2 all_checks=false\n")

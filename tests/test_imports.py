@@ -105,6 +105,13 @@ def test_integer_layers_load_no_eulerian(module):
     assert "eulercong.eulerian" not in loaded_after(f"import eulercong.{module}")
 
 
+def test_prooftrace_loads_no_congruence():
+    # Both sides of the congruence come from `_intpoly.integer_sides`.
+    assert loaded_after("import eulercong.prooftrace") == [
+        "eulercong", "eulercong._intpoly", "eulercong.poly", "eulercong.prooftrace",
+        "eulercong.ratfunc"]
+
+
 def test_trace_loads_no_pool():
     loaded = loaded_after(run_main("trace", "--n", "2", "--m", "2"))
     assert loaded == sorted(CORE + ["eulercong.poly", "eulercong.prooftrace",

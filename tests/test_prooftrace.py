@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trace_oracle
-from eulercong import _intpoly, congruence, poly, prooftrace, ratfunc
+from eulercong import _intpoly, poly, prooftrace, ratfunc
 from eulercong.eulerian import eulerian_recurrence
 from eulercong.poly import Poly, geometric_poly
 from eulercong.prooftrace import (
@@ -198,7 +198,7 @@ def _perturb_ratio(real, make_term):
 @pytest.mark.parametrize("patch,failed", [
     # A_n under the A_1 = 1 convention: the difference no longer vanishes
     # to order n+1 at t = 1 and stops matching the series.
-    (lambda mp: mp.setattr(congruence, "eulerian_row", _a1_equals_one(congruence.eulerian_row)),
+    (lambda mp: mp.setattr(_intpoly, "eulerian_row", _a1_equals_one(_intpoly.eulerian_row)),
      ["diff_equals_series", "den_nonzero_at_one"]),
     (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
         prooftrace.ratio_coeff, lambda v, k: (v * 2, k))), ["telescopes"]),
