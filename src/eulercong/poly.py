@@ -3,8 +3,8 @@
 A `Poly` is integer numerators over one denominator: `num` is a trimmed
 tuple of ints, ascending (index i is the numerator of the coefficient of
 t^i), and `den` a positive int, in lowest terms: gcd(den, *num) == 1,
-and the zero polynomial is () over 1. So equality and hashing are
-structural, and `coeffs` gives the reduced `Fraction`s on demand.
+and the zero polynomial is () over 1. So equality is structural (a `Poly`
+is unhashable), and `coeffs` gives the reduced `Fraction`s on demand.
 
 This is the rational layer of the package: the proof trace's `RatFunc`,
 the acceptance suite and the test oracles compute with it. Its
@@ -60,9 +60,6 @@ class Poly:
         if isinstance(other, Poly):
             return self.num == other.num and self.den == other.den
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def coeff(self, i: int) -> Fraction:
         return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)

@@ -2,7 +2,7 @@
 
 Canonical form: numerator and denominator coprime, denominator monic,
 zero stored as 0/1. Canonical form makes structural equality coincide
-with field equality.
+with field equality. Like `Poly`, a `RatFunc` is unhashable.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class RatFunc:
             o = RatFunc.lift(other)
             return self.num == o.num and self.den == o.den
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     # -- field operations ------------------------------------------------
 

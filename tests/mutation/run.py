@@ -23,6 +23,9 @@ CLI = "eulercong/cli.py"
 KERNELS = "eulercong/_intpoly.py"
 CONGRUENCE = "eulercong/congruence.py"
 EULERIAN = "eulercong/eulerian.py"
+POLY = "eulercong/poly.py"
+RATFUNC = "eulercong/ratfunc.py"
+SERIES = "eulercong/series.py"
 
 MUTANTS = [
     # The divisor exponent is never None.
@@ -112,6 +115,16 @@ MUTANTS = [
     # worpitzky_row truncates A_n one coefficient short.
     (EULERIAN, "row = eulerian_row(n)[:K + 1]", "row = eulerian_row(n)[:K]",
      ("tests/test_eulerian.py::test_worpitzky_power_row",)),
+    # Poly equality ignores the denominator.
+    (POLY, "return self.num == other.num and self.den == other.den",
+     "return self.num == other.num", ("tests/test_poly.py::test_equality_compares_denominators",)),
+    # RatFunc equality ignores the denominator.
+    (RATFUNC, "return self.num == o.num and self.den == o.den", "return self.num == o.num",
+     ("tests/test_ratfunc.py::test_equality_compares_denominators",)),
+    # Series equality compares only the orders.
+    (SERIES, "return self.coeffs == other.coeffs",
+     "return len(self.coeffs) == len(other.coeffs)",
+     ("tests/test_series.py::test_equality_compares_coefficients",)),
 ]
 
 

@@ -33,6 +33,16 @@ def test_normalization_reduces_fractions():
     assert p.coeffs == (Fraction(1, 2), Fraction(1))
 
 
+def test_equality_compares_denominators():
+    # Both numerators are (1,); only den tells 1/2 from 1/3.
+    assert Poly([Fraction(1, 2)]) != Poly([Fraction(1, 3)])
+
+
+def test_unhashable():
+    with pytest.raises(TypeError):
+        hash(Poly([1, 2]))
+
+
 def test_add():
     assert Poly([1, 1]) + Poly([1, -1]) == Poly([2])
 

@@ -27,6 +27,18 @@ def test_zero_normalizes():
     assert r.den == Poly([1])
 
 
+def test_equality_compares_denominators():
+    assert RatFunc(Poly([1]), Poly([1, 1])) != RatFunc(Poly([1]), Poly([2, 1]))
+
+
+def test_unhashable():
+    # A RatFunc equals the Poly it lifts, which no per-type hash could honour.
+    p = Poly([1, 2])
+    assert RatFunc(p) == p
+    with pytest.raises(TypeError):
+        hash(RatFunc(p))
+
+
 def test_constant_cancellation():
     r = RatFunc(Poly([0, 2]), Poly([2]))
     assert r.num == Poly([0, 1])

@@ -32,6 +32,10 @@ def test_scaled_exp_k_zero():
     assert scaled_exp(const(1), 0, 2) == series(1, 0, 0)
 
 
+def test_equality_compares_coefficients():
+    assert scaled_exp(const(1), 1, 2) != scaled_exp(const(1), 2, 2)
+
+
 def test_geometric_series_by_division():
     one = series(1, 0, 0)
     assert one / series(1, -1, 0) == series(1, 1, 1)
