@@ -10,9 +10,9 @@ stderr, which names the exception's type when it has no message, and
 nothing on stdout, serially and in parallel alike), 130 interrupted by
 Ctrl-C (SIGINT; one line `eulercong: interrupted` on stderr and nothing
 on stdout), 141 stdout closed by its reader, as in `| head -1` (the
-status a shell reports for SIGPIPE; nothing on stderr). Every usage
-error is found before any computing starts, and `main` is the only
-place that maps an exception to an exit code.
+status a shell reports for SIGPIPE; nothing on stderr). A usage error
+is found before any computing starts and prints its subcommand's usage
+line; `main` is the only place that maps an exception to an exit code.
 
 `main` freezes the heap at exit only when it runs as the program, that
 is when it parses `sys.argv` (`argv is None`: the console script and
@@ -61,7 +61,6 @@ from .congruence import verify_congruence
 
 if TYPE_CHECKING:
     from .congruence import CongruenceReport
-    from .poly import Poly
     from .prooftrace import TraceReport
     from .ratfunc import RatFunc
 
@@ -84,12 +83,9 @@ METHODS = {
 # -- rendering ---------------------------------------------------------
 
 
-def coeff_list(p: Poly) -> list[str]:
-    return fraction_strs(p.num, p.den)
-
-
 def ratfunc_json(r: RatFunc) -> dict:
-    return {"num": coeff_list(r.num), "den": coeff_list(r.den)}
+    return {"num": fraction_strs(r.num.num, r.num.den),
+            "den": fraction_strs(r.den.num, r.den.den)}
 
 
 def report_json(rep: CongruenceReport) -> dict:
@@ -164,8 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="replay the proof steps for one (n, m)")
     p_trace.add_argument("--n", type=int, required=True)
     p_trace.add_argument("--m", type=int, required=True)
-    for p in (p_euler, p_verify, p_trace):
+    for p, run in ((p_euler, _cmd_eulerian), (p_verify, _cmd_verify), (p_trace, _cmd_trace)):
         p.add_argument("--format", choices=["plain", "latex", "json"], default="plain")
+        p.set_defaults(run=run, parser=p)  # so a usage error prints p's usage
     p_verify.add_argument("--parallel", type=int, default=1, metavar="W")
 
     return parser
@@ -197,12 +194,12 @@ def _cmd_eulerian(args, parser) -> int:
         print(dump_json({
             "n": ep.n,
             "method": args.method,
-            "coeffs": coeff_list(ep.poly),
+            "coeffs": fraction_strs(ep.poly.num, ep.poly.den),
         }))
     return 0
 
 
-def _verify_grid(args, parser) -> list[tuple[int, int]]:
+def _verify_grid(args, parser) -> tuple[range, range]:
     single = args.n is not None or args.m is not None
     ranged = args.n_max is not None or args.m_max is not None
     if single == ranged:
@@ -211,23 +208,22 @@ def _verify_grid(args, parser) -> list[tuple[int, int]]:
         if args.n is None or args.m is None:
             parser.error("verify needs both --n and --m")
         _check_caps(parser, args.n, args.m)
-        return [(args.n, args.m)]
+        return range(args.n, args.n + 1), range(args.m, args.m + 1)
     if args.n_max is None or args.m_max is None:
         parser.error("verify needs both --n-max and --m-max")
     _check_caps(parser, args.n_max, args.m_max)
-    return [(n, m) for n in range(args.n_max + 1) for m in range(1, args.m_max + 1)]
+    return range(args.n_max + 1), range(1, args.m_max + 1)
 
 
 def _cmd_verify(args, parser) -> int:
-    grid = _verify_grid(args, parser)
+    ns, ms = _verify_grid(args, parser)
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
-    tasks = [(n, m, args.format) for n, m in grid]
-    rows = 1 if args.n is not None else args.n_max + 1
-    workers = min(args.parallel, rows, os.cpu_count() or 1)
+    tasks = [(n, m, args.format) for n in ns for m in ms]
+    workers = min(args.parallel, len(ns), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_render_pair, tasks, chunksize=args.m_max))
+            results = list(pool.map(_render_pair, tasks, chunksize=len(ms)))
     else:
         results = [_render_pair(task) for task in tasks]
 
@@ -380,11 +376,9 @@ def _cmd_trace(args, parser) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:  # run as the program: skip the collector's sweep at exit
         atexit.register(gc.freeze)
-    commands = {"eulerian": _cmd_eulerian, "verify": _cmd_verify, "trace": _cmd_trace}
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        code = commands[args.command](args, parser)
+        args = build_parser().parse_args(argv)
+        code = args.run(args, args.parser)
         sys.stdout.flush()  # so a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:

@@ -55,8 +55,19 @@ MUTANTS = [
     (TRACE, "divmod_exact(times_geometric([1], m, k), den)", "divmod_exact(top, den)",
      ("tests/test_prooftrace.py::test_divisor_exponent_is_confirmed_by_its_own_power",)),
     # The pool is not capped by the CPUs.
-    (CLI, "workers = min(args.parallel, rows, os.cpu_count() or 1)",
-     "workers = min(args.parallel, rows)", ("tests/test_cli.py::test_parallel_workers_bounded",)),
+    (CLI, "workers = min(args.parallel, len(ns), os.cpu_count() or 1)",
+     "workers = min(args.parallel, len(ns))",
+     ("tests/test_cli.py::test_parallel_workers_bounded",)),
+    # A pool task is a grid column, not a grid row.
+    (CLI, "chunksize=len(ms)", "chunksize=len(ns)",
+     ("tests/test_cli.py::test_parallel_workers_bounded",)),
+    # The package's own usage errors print the top-level usage.
+    (CLI, "p.set_defaults(run=run, parser=p)", "p.set_defaults(run=run, parser=parser)",
+     ("tests/test_cli.py::test_subcommand_usage_keeps_option_order",)),
+    # A single pair verifies the whole grid up to it.
+    (CLI, "return range(args.n, args.n + 1), range(args.m, args.m + 1)",
+     "return range(args.n + 1), range(1, args.m + 1)",
+     ("tests/test_cli.py::test_verify_single_plain",)),
     # __exit__ kills no worker; it still waits for each.
     (CLI, "os.kill(pid, 9)  # SIGKILL", "pass",
      ("tests/test_cli.py::test_worker_still_running_when_another_dies_is_killed",)),

@@ -175,13 +175,23 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+EULERIAN_USAGE = ("usage: eulercong eulerian [-h] --n N"
+                  " [--method {bruteforce,gf,recurrence}] [--format {plain,latex,json}]")
+VERIFY_USAGE = ("usage: eulercong verify [-h] [--n N] [--m M]"
+                " [--n-max N_MAX] [--m-max M_MAX] [--format {plain,latex,json}] [--parallel W]")
+TRACE_USAGE = "usage: eulercong trace [-h] --n N --m M [--format {plain,latex,json}]"
+
+
 @pytest.mark.parametrize("argv,usage", [
-    (["eulerian"], "usage: eulercong eulerian [-h] --n N"
-                   " [--method {bruteforce,gf,recurrence}] [--format {plain,latex,json}]"),
-    (["verify", "--format", "bad"], "usage: eulercong verify [-h] [--n N] [--m M]"
-     " [--n-max N_MAX] [--m-max M_MAX] [--format {plain,latex,json}] [--parallel W]"),
-    (["trace", "--n", "1"], "usage: eulercong trace [-h] --n N --m M"
-                            " [--format {plain,latex,json}]"),
+    (["eulerian"], EULERIAN_USAGE),
+    (["verify", "--format", "bad"], VERIFY_USAGE),
+    (["trace", "--n", "1"], TRACE_USAGE),
+    # The package's own usage errors are raised on the subcommand's parser too.
+    (["verify", "--n", "65", "--m", "1"], VERIFY_USAGE),
+    (["verify", "--n-max", "3"], VERIFY_USAGE),
+    (["verify", "--n-max", "2", "--m-max", "2", "--parallel", "0"], VERIFY_USAGE),
+    (["trace", "--n", "41", "--m", "1"], TRACE_USAGE),
+    (["eulerian", "--n", "10", "--method", "bruteforce"], EULERIAN_USAGE),
 ])
 def test_subcommand_usage_keeps_option_order(capsys, argv, usage):
     # argparse wraps the usage to the terminal width, so compare it with
@@ -271,17 +281,17 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    code, par, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
+    code, par, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "3",
                        "--format", "json", "--parallel", "100000")
     assert code == 0
     assert sizes == [2]  # the grid has two rows
-    assert chunksizes == [2]  # one grid row per task
-    code, seq, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
+    assert chunksizes == [3]  # one grid row of three pairs per task
+    code, seq, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "3",
                        "--format", "json")
     assert par == seq
     # One CPU: a one-worker pool would only add cost, so none is built.
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    code, one_cpu, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
+    code, one_cpu, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "3",
                            "--format", "json", "--parallel", "2")
     assert code == 0
     assert sizes == [2]
@@ -793,16 +803,19 @@ sys.exit(main())
     pytest.param(["verify", "--n", "1", "--m", "2"], 0,
                  "n=1 m=2 holds=true remainder=0\n", "", id="exit-0"),
     pytest.param(["verify", "--n", "65", "--m", "1"], 2, "",
-                 "usage: eulercong [-h] {eulerian,verify,trace} ...\n"
-                 "eulercong: error: n must be in [0, 64], got 65\n", id="exit-2"),
+                 "usage: eulercong verify [-h] [--n N] [--m M] [--n-max N_MAX] [--m-max M_MAX]\n"
+                 "                        [--format {plain,latex,json}] [--parallel W]\n"
+                 "eulercong verify: error: n must be in [0, 64], got 65\n", id="exit-2"),
     pytest.param(["verify", "--n-max", "0", "--m-max", "2"], 141, None, "", id="exit-141"),
 ])
 def test_cli_process_freezes_its_heap_at_exit(argv, code, stdout, stderr):
     # Exit 141: the read end of stdout's pipe is closed before the CLI starts.
+    # COLUMNS pins the width that argparse wraps the exit-2 usage to.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=cli_env(),
+        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv],
+                              env=dict(cli_env(), COLUMNS="80"),
                               stdin=subprocess.DEVNULL,
                               stdout=write_end if code == 141 else subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True, timeout=60)
