@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = "eulercong/__init__.py"
 TRACE = "eulercong/prooftrace.py"
 CLI = "eulercong/cli.py"
 KERNELS = "eulercong/_intpoly.py"
@@ -28,6 +29,9 @@ RATFUNC = "eulercong/ratfunc.py"
 SERIES = "eulercong/series.py"
 
 MUTANTS = [
+    # The package module loads a submodule on import.
+    (PACKAGE, '__version__ = "0.1.0"', 'from . import prooftrace\n\n__version__ = "0.1.0"',
+     ("tests/test_imports.py::test_import_package_loads_no_submodule",)),
     # The divisor exponent is never None.
     (TRACE, "exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k",
      "exponent = k", ("tests/test_prooftrace.py::test_divisor_exponent_is_checked_by_division",)),

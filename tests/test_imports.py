@@ -6,6 +6,7 @@ already imported every module. Nothing here measures time.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -16,6 +17,9 @@ import pytest
 import eulercong
 
 SRC = str(Path(eulercong.__file__).resolve().parent.parent)
+ENV = dict(os.environ,
+           PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Prints the loaded modules under the packages `roots` after `code`.
 PROBE = """
@@ -26,8 +30,8 @@ print(sorted(k for k in sys.modules if k.split(".")[0] in {roots!r}))
 
 CORE = ["eulercong", "eulercong._intpoly", "eulercong.cli", "eulercong.congruence"]
 
-# Every public name of the package's API: the names of `__all__`, and the
-# public functions that stay importable from their own submodule only.
+# Every public name of the package's API, and the submodule it is imported
+# from. The package itself re-exports none of them.
 PUBLIC = {
     "CongruenceReport": "congruence",
     "report_from_sides": "congruence",
@@ -56,11 +60,9 @@ PUBLIC = {
 
 
 def loaded_after(code: str, roots: tuple = ("eulercong", "concurrent")) -> list[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE.format(code=code, roots=roots)],
-        env=env, capture_output=True, text=True, check=True,
+        env=ENV, capture_output=True, text=True, check=True,
     )
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
@@ -165,22 +167,33 @@ def test_every_top_level_import_is_used(path):
     assert [name for name in bound if name not in used] == []
 
 
-@pytest.mark.parametrize("name", sorted(set(PUBLIC) | set(eulercong.__all__)))
+@pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_every_public_name_resolves(name):
     value = getattr(import_module(f"eulercong.{PUBLIC[name]}"), name)
     assert getattr(value, "__name__", name) == name
-    if name in eulercong.__all__:
-        assert getattr(eulercong, name) is value
-        assert name in dir(eulercong)
 
 
-def test_star_import_binds_exactly_all():
-    namespace: dict = {}
-    exec("from eulercong import *", namespace)
-    del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(eulercong.__all__)
+# The names the package module re-exported before its API became its
+# submodules; each must now fail on the package, not resolve to a stale copy.
+FORMER_REEXPORTS = ["CongruenceReport", "EulerianPoly", "Poly", "RatFunc", "RatioTerm",
+                    "TraceReport", "eulerian_bruteforce", "eulerian_from_gf",
+                    "eulerian_recurrence", "full_trace", "verify_congruence"]
 
 
-def test_unknown_attribute_raises():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        eulercong.no_such_name
+@pytest.mark.parametrize("name", FORMER_REEXPORTS)
+def test_unknown_attribute_raises(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(eulercong, name)
+    with pytest.raises(ImportError, match=name):
+        exec(f"from eulercong import {name}", {})
+
+
+def test_readme_python_blocks_run():
+    # Each block runs in a fresh interpreter, so an import the package no
+    # longer provides fails here rather than in a reader's session.
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], env=ENV,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, f"{block}\n{proc.stderr}"
