@@ -42,8 +42,9 @@ one indented writer of every subcommand and gives the bytes of
 Each subcommand imports only what it runs: `verify` (also with
 `--parallel`) loads `cli`, `congruence` and `_intpoly`, and neither
 `poly` nor `fractions`; `eulerian` (every method) adds `eulerian` and
-`poly`; `trace` adds `poly`, `prooftrace` and `ratfunc`. None loads
-`concurrent.futures`, `dataclasses` or `json`.
+`poly`; `trace` adds only `prooftrace`, whose report holds integer pairs
+(rendered by the same two functions) and builds `RatFunc` only when a
+field is read. None loads `concurrent.futures`, `dataclasses` or `json`.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .congruence import verify_congruence
 
 if TYPE_CHECKING:
     from .congruence import CongruenceReport
-    from .prooftrace import TraceReport
+    from .prooftrace import Pair, TraceReport
     from .ratfunc import RatFunc
 
 N_CAP = 64
@@ -88,6 +89,17 @@ def ratfunc_json(r: RatFunc) -> dict:
             "den": fraction_strs(r.den.num, r.den.den)}
 
 
+def pair_json(pair: Pair) -> dict:
+    return {"num": fraction_strs(pair[0], 1), "den": fraction_strs(pair[1], 1)}
+
+
+def pair_text(pair: Pair, latex: bool = False) -> str:
+    """A trace value num/den in plain, as a `RatFunc` prints, or in latex."""
+    num, den = (render(p, latex=latex) for p in pair)
+    return (f"{num} / \\left({den}\\right)" if latex
+            else num if den == "1" else f"({num})/({den})")
+
+
 def report_json(rep: CongruenceReport) -> dict:
     return {
         "n": rep.n,
@@ -105,16 +117,16 @@ def trace_json(rep: TraceReport) -> dict:
         "n": rep.n,
         "m": rep.m,
         "holds": rep.all_checks,
-        "diff": ratfunc_json(rep.diff_value),
+        "diff": pair_json(rep.diff),
         "per_j": [
             {
                 "j": term.j,
-                "value": ratfunc_json(term.value),
+                "value": pair_json(term.ratio),
                 "divisor_exponent": term.divisor_exponent,
             }
             for term in rep.per_j
         ],
-        "den_at_one": str(rep.den_at_one),
+        "den_at_one": str(sum(rep.diff[1])),  # den(1): rep.den_at_one, not built
     }
 
 
@@ -352,19 +364,17 @@ def _cmd_trace(args, parser) -> int:
     if args.format == "json":
         print(dump_json(trace_json(rep)))
     elif args.format == "latex":
-        print(f"\\text{{difference}} = {rep.diff_value.num.render(latex=True)}"
-              f" / \\left({rep.diff_value.den.render(latex=True)}\\right)")
+        print(f"\\text{{difference}} = {pair_text(rep.diff, latex=True)}")
         for term in rep.per_j:
-            print(f"j = {term.j}: {term.value.num.render(latex=True)}"
-                  f" / \\left({term.value.den.render(latex=True)}\\right),"
+            print(f"j = {term.j}: {pair_text(term.ratio, latex=True)},"
                   f" \\; k = {term.divisor_exponent}")
     else:
         print(f"n={rep.n} m={rep.m} all_checks={str(rep.all_checks).lower()}")
-        print(f"  difference = {rep.diff_value}")
-        print(f"  series coefficient = {rep.series_value}")
-        print(f"  denominator at t=1: {rep.den_at_one}")
+        print(f"  difference = {pair_text(rep.diff)}")
+        print(f"  series coefficient = {pair_text(rep.series)}")
+        print(f"  denominator at t=1: {sum(rep.diff[1])}")
         for term in rep.per_j:
-            print(f"  j={term.j}: value={term.value} "
+            print(f"  j={term.j}: value={pair_text(term.ratio)} "
                   f"divisor_exponent={term.divisor_exponent}")
     if rep.all_checks:
         return 0

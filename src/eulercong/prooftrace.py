@@ -25,26 +25,40 @@ the congruence (`integer_sides`) included, so this module does not load
 `congruence`. Every denominator divides a power of t^m - 1 =
 prod_{d|m} Phi_d, so a reported value is reduced by exact trial division
 by each cyclotomic Phi_d, never by a polynomial gcd. Series quotients are
-divided in EGF-normalised integer form (`_intpoly.egf_quotient`).
+divided in EGF-normalised integer form (`_intpoly.egf_quotient`). A
+report holds each value as a reduced integer pair (num, den), and builds
+its `RatFunc` (and the `Fraction` den_at_one) only when read, so only
+then are `poly`, `ratfunc` and `fractions` imported.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, lcm
-from typing import NamedTuple, Optional, Sequence
+from math import comb
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, integer_sides, kernel,
                        mul, times_binomial, times_geometric, trim)
-from .poly import _over
-from .ratfunc import RatFunc
+
+if TYPE_CHECKING:
+    from .ratfunc import RatFunc
+
+Pair = tuple[list[int], list[int]]  # num / den, coprime, den monic, and [] / [1] for zero
+
+
+def _ratfunc(pair: Pair) -> RatFunc:
+    from .poly import _over
+    from .ratfunc import RatFunc
+
+    return RatFunc._from_reduced(_over(pair[0]), _over(pair[1]))
 
 
 class RatioTerm(NamedTuple):
     j: int
-    value: RatFunc
+    ratio: Pair
     divisor_exponent: Optional[int]
+
+    value = property(lambda term: _ratfunc(term.ratio))
 
 
 # The proof checks of a trace, in proof order; all_checks is their conjunction.
@@ -54,15 +68,18 @@ CHECKS = ("diff_equals_series", "telescopes", "den_nonzero_at_one", "divisors_bo
 class TraceReport(NamedTuple):
     n: int
     m: int
-    diff_value: RatFunc
-    series_value: RatFunc
+    diff: Pair
+    series: Pair
     per_j: tuple[RatioTerm, ...]
-    den_at_one: Fraction
     all_checks: bool
     diff_equals_series: bool
     telescopes: bool
     den_nonzero_at_one: bool
     divisors_bounded: bool
+
+    diff_value = property(lambda rep: _ratfunc(rep.diff))
+    series_value = property(lambda rep: _ratfunc(rep.series))
+    den_at_one = property(lambda rep: _ratfunc(rep.diff).den_value_at(1))
 
     def failed_checks(self) -> list[str]:
         """Names of the proof checks that failed, in proof order."""
@@ -143,10 +160,17 @@ def _ratio_numerators(m: int, n: int) -> tuple[tuple, tuple, tuple]:
 # -- proof steps -------------------------------------------------------------
 
 
-def _over_tm_minus_one(num: list[int], m: int, n: int) -> RatFunc:
+def _over_tm_minus_one(num: list[int], m: int, n: int) -> Pair:
     """num / (t^m - 1)^(n+1) in lowest terms; t^m - 1 = prod_{d|m} Phi_d."""
-    num, den, _ = _reduce(num, times_binomial([1], m, n + 1), cyclotomic(m), n + 1)
-    return RatFunc._from_reduced(_over(num), _over(den))
+    return _reduce(num, times_binomial([1], m, n + 1), cyclotomic(m), n + 1)[:2]
+
+
+def _diff(n: int, m: int) -> Pair:
+    _check_nm(n, m)
+    num = add(*integer_sides(n, m), -1)
+    if n % 2 == 0:  # (1 - t^m)^(n+1) = -(t^m - 1)^(n+1)
+        num = [-c for c in num]
+    return _over_tm_minus_one(num, m, n)
 
 
 def diff_rational(n: int, m: int) -> RatFunc:
@@ -155,20 +179,31 @@ def diff_rational(n: int, m: int) -> RatFunc:
     Over (1 - t^m)^(n+1) its numerator is m^(n+1) A_n(t^m) - G_m^(n+1) A_n(t),
     the cleared difference of the two sides of the congruence.
     """
-    _check_nm(n, m)
-    num = add(*integer_sides(n, m), -1)
-    if n % 2 == 0:  # (1 - t^m)^(n+1) = -(t^m - 1)^(n+1)
-        num = [-c for c in num]
-    return _over_tm_minus_one(num, m, n)
+    return _ratfunc(_diff(n, m))
 
 
-def series_difference_coeff(n: int, m: int) -> RatFunc:
-    """EGF coefficient n of m/(1 - t^m e^(mx)) - 1/(1 - t e^x)."""
+def _series(n: int, m: int) -> Pair:
     _check_nm(n, m)
     # m w_m/(t^m - 1)^(n+1) - w_1/(t - 1)^(n+1), and t^m - 1 = (t - 1) G_m.
     w_m, w_1 = kernel(m, n)[n], kernel(1, n)[n]
     num = add([m * c for c in w_m], times_geometric(w_1, m, n + 1), -1)
     return _over_tm_minus_one(num, m, n)
+
+
+def series_difference_coeff(n: int, m: int) -> RatFunc:
+    """EGF coefficient n of m/(1 - t^m e^(mx)) - 1/(1 - t e^x)."""
+    return _ratfunc(_series(n, m))
+
+
+def _ratio(j: int, m: int, n: int) -> tuple[Pair, Optional[int]]:
+    _check_nm(n, m)
+    if not 0 <= j < m:
+        raise ValueError("ratio term requires 0 <= j < m")
+    top, phis, geometric = _ratio_numerators(m, n)
+    num, den, exps = _reduce(list(geometric[j]), list(top), phis, n + 1)
+    k = max(exps, default=0)
+    exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k
+    return (num, den), exponent
 
 
 def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
@@ -180,56 +215,34 @@ def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
     (1 + t + ... + t^(m-1))^k, confirmed by an exact division (None if
     that division leaves a remainder).
     """
-    _check_nm(n, m)
-    if not 0 <= j < m:
-        raise ValueError("ratio term requires 0 <= j < m")
-    top, phis, geometric = _ratio_numerators(m, n)
-    num, den, exps = _reduce(list(geometric[j]), list(top), phis, n + 1)
-    k = max(exps, default=0)
-    exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k
-    return RatFunc._from_reduced(_over(num), _over(den)), exponent
+    pair, exponent = _ratio(j, m, n)
+    return _ratfunc(pair), exponent
 
 
-def _telescopes(per_j: tuple[RatioTerm, ...], series_value: RatFunc, m: int, n: int) -> bool:
-    """Is sum_j per_j - series_value zero, by exact division of top = G_m^(n+1)?
+def _telescopes(per_j: tuple[RatioTerm, ...], series: Pair, m: int, n: int) -> bool:
+    """Is sum_j per_j - series zero, by exact division of top = G_m^(n+1)?
 
-    Each denominator must be a monic integer polynomial (any monic divisor
-    of top is one, by Gauss's lemma); an lcm scales out numerator denominators.
+    Each denominator must be monic, so that the division is exact over the
+    integers (a monic divisor of top is an integer polynomial, by Gauss's lemma).
     """
     top = _ratio_numerators(m, n)[0]
-    terms = [(1, term.value) for term in per_j] + [(-1, series_value)]
-    scale = lcm(*(value.num.den for _, value in terms))
     total: list[int] = []
-    for sign, value in terms:
-        cofactor, rem = divmod_exact(top, value.den.num)
-        if rem or value.den.den != 1 or value.den.num[-1] != 1:
+    for sign, (num, den) in [(1, term.ratio) for term in per_j] + [(-1, series)]:
+        cofactor, rem = divmod_exact(top, den)
+        if rem or den[-1] != 1:
             return False
-        total = add(total, mul(value.num.num, cofactor), sign * scale // value.num.den)
+        total = add(total, mul(num, cofactor), sign)
     return not total
 
 
 def full_trace(n: int, m: int) -> TraceReport:
     """Run every proof step for one (n, m) and record all intermediates."""
-    diff_value = diff_rational(n, m)
-    series_value = series_difference_coeff(n, m)
-    per_j = tuple(
-        RatioTerm(j, *ratio_coeff(j, m, n)) for j in range(m)
-    )
-    den_at_one = diff_value.den_value_at(1)
+    diff, series = _diff(n, m), _series(n, m)
+    per_j = tuple(RatioTerm(j, *_ratio(j, m, n)) for j in range(m))
     checks = {
-        "diff_equals_series": diff_value == series_value,
-        "telescopes": _telescopes(per_j, series_value, m, n),
-        "den_nonzero_at_one": den_at_one != 0,
+        "diff_equals_series": diff == series,
+        "telescopes": _telescopes(per_j, series, m, n),
+        "den_nonzero_at_one": sum(diff[1]) != 0,  # den(1)
         "divisors_bounded": all(term.divisor_exponent is not None for term in per_j),
     }
-    return TraceReport(
-        n=n,
-        m=m,
-        diff_value=diff_value,
-        series_value=series_value,
-        per_j=per_j,
-        den_at_one=den_at_one,
-        all_checks=all(checks.values()),
-        **checks,
-    )
-
+    return TraceReport(n, m, diff, series, per_j, all(checks.values()), **checks)

@@ -43,18 +43,37 @@ MUTANTS = [
     (TRACE, "if times_binomial(acc, 1, n + 1) != direct:", "if False:",
      ("tests/test_cli.py::test_ratio_forms_disagreeing_exits_3",)),
     # den_nonzero_at_one is always true.
-    (TRACE, '"den_nonzero_at_one": den_at_one != 0,', '"den_nonzero_at_one": True,',
+    (TRACE, '"den_nonzero_at_one": sum(diff[1]) != 0,', '"den_nonzero_at_one": True,',
      ("tests/test_prooftrace.py::test_failed_check_is_named",)),
-    # The telescoping check's lcm scale is 1.
-    (TRACE, "scale = lcm(*(value.num.den for _, value in terms))", "scale = 1",
-     ("tests/test_prooftrace.py::test_telescoping_scales_out_numerator_denominators",)),
+    # The telescoping check drops the j = 0 term.
+    (TRACE, "[(1, term.ratio) for term in per_j]", "[(1, term.ratio) for term in per_j[1:]]",
+     ("tests/test_prooftrace.py::test_telescoping_sums_terms_over_their_own_denominators",)),
     # _reduce skips Phi_1 when it reduces over t^m - 1.
     (TRACE, "cyclotomic(m), n + 1)", "cyclotomic(m)[1:], n + 1)",
      ("tests/test_prooftrace.py::test_diff_rational_n1_m2",
       "tests/test_prooftrace.py::test_full_trace_n3_m3")),
-    # M1: the telescoping check drops its monic-integer guard.
-    (TRACE, "if rem or value.den.den != 1 or value.den.num[-1] != 1:", "if rem:",
+    # M1: the telescoping check drops its monic guard.
+    (TRACE, "if rem or den[-1] != 1:", "if rem:",
      ("tests/test_prooftrace.py::test_failed_check_is_named",)),
+    # A report's diff_value is built from its series pair.
+    (TRACE, "diff_value = property(lambda rep: _ratfunc(rep.diff))",
+     "diff_value = property(lambda rep: _ratfunc(rep.series))",
+     ("tests/test_prooftrace.py::test_report_views_read_their_own_pairs",)),
+    # A report's series_value is built from its diff pair.
+    (TRACE, "series_value = property(lambda rep: _ratfunc(rep.series))",
+     "series_value = property(lambda rep: _ratfunc(rep.diff))",
+     ("tests/test_prooftrace.py::test_report_views_read_their_own_pairs",)),
+    # den_at_one is the numerator's value at t = 1.
+    (TRACE, "_ratfunc(rep.diff).den_value_at(1)", "_ratfunc(rep.diff).num.eval(1)",
+     ("tests/test_prooftrace.py::test_full_trace_n1_m2",)),
+    # The RatFunc view of a pair swaps numerator and denominator.
+    (TRACE, "RatFunc._from_reduced(_over(pair[0]), _over(pair[1]))",
+     "RatFunc._from_reduced(_over(pair[1]), _over(pair[0]))",
+     ("tests/test_prooftrace.py::test_diff_rational_n1_m2",)),
+    # A RatioTerm's value drops its denominator.
+    (TRACE, "value = property(lambda term: _ratfunc(term.ratio))",
+     "value = property(lambda term: _ratfunc((term.ratio[0], [1])))",
+     ("tests/test_prooftrace.py::test_full_trace_n1_m2",)),
     # M11: the exponent is confirmed by dividing G_m^(n+1), not G_m^k.
     (TRACE, "divmod_exact(times_geometric([1], m, k), den)", "divmod_exact(top, den)",
      ("tests/test_prooftrace.py::test_divisor_exponent_is_confirmed_by_its_own_power",)),
@@ -81,6 +100,12 @@ MUTANTS = [
     # The CLI refuses brute force at its cap, n = 9.
     (CLI, "args.n > eulerian.BRUTEFORCE_CAP", "args.n >= eulerian.BRUTEFORCE_CAP",
      ("tests/test_cli.py::test_bruteforce_runs_at_its_cap",)),
+    # The CLI prints den_at_one as the numerator's value at t = 1.
+    (CLI, '"den_at_one": str(sum(rep.diff[1])),', '"den_at_one": str(sum(rep.diff[0])),',
+     ("tests/test_cli.py::test_trace_json",)),
+    # A plain trace value over 1 is printed as a fraction.
+    (CLI, 'else num if den == "1" else f"({num})/({den})")', 'else f"({num})/({den})")',
+     ("tests/test_golden.py::test_golden_output",)),
     # The whole output is joined at once.
     (CLI, "if size >= 1 << 18 or i == len(texts):", "if i == len(texts):",
      ("tests/test_cli.py::test_verify_holds_its_output_about_once[serial]",)),

@@ -183,15 +183,17 @@ TRACE_USAGE = "usage: eulercong trace [-h] --n N --m M [--format {plain,latex,js
 
 
 @pytest.mark.parametrize("argv,usage", [
-    (["eulerian"], EULERIAN_USAGE),
-    (["verify", "--format", "bad"], VERIFY_USAGE),
-    (["trace", "--n", "1"], TRACE_USAGE),
+    pytest.param(["eulerian"], EULERIAN_USAGE, id="eulerian-no-n"),
+    pytest.param(["verify", "--format", "bad"], VERIFY_USAGE, id="verify-bad-format"),
+    pytest.param(["trace", "--n", "1"], TRACE_USAGE, id="trace-no-m"),
     # The package's own usage errors are raised on the subcommand's parser too.
-    (["verify", "--n", "65", "--m", "1"], VERIFY_USAGE),
-    (["verify", "--n-max", "3"], VERIFY_USAGE),
-    (["verify", "--n-max", "2", "--m-max", "2", "--parallel", "0"], VERIFY_USAGE),
-    (["trace", "--n", "41", "--m", "1"], TRACE_USAGE),
-    (["eulerian", "--n", "10", "--method", "bruteforce"], EULERIAN_USAGE),
+    pytest.param(["verify", "--n", "65", "--m", "1"], VERIFY_USAGE, id="verify-n-cap"),
+    pytest.param(["verify", "--n-max", "3"], VERIFY_USAGE, id="verify-no-m-max"),
+    pytest.param(["verify", "--n-max", "2", "--m-max", "2", "--parallel", "0"], VERIFY_USAGE,
+                 id="verify-parallel-0"),
+    pytest.param(["trace", "--n", "41", "--m", "1"], TRACE_USAGE, id="trace-n-cap"),
+    pytest.param(["eulerian", "--n", "10", "--method", "bruteforce"], EULERIAN_USAGE,
+                 id="eulerian-bruteforce-cap"),
 ])
 def test_subcommand_usage_keeps_option_order(capsys, argv, usage):
     # argparse wraps the usage to the terminal width, so compare it with

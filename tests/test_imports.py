@@ -108,16 +108,32 @@ def test_integer_layers_load_no_eulerian(module):
 
 
 def test_prooftrace_loads_no_congruence():
-    # Both sides of the congruence come from `_intpoly.integer_sides`.
+    # Both sides of the congruence come from `_intpoly.integer_sides`, and
+    # the rational views of a report import their layers only when read.
     assert loaded_after("import eulercong.prooftrace") == [
-        "eulercong", "eulercong._intpoly", "eulercong.poly", "eulercong.prooftrace",
-        "eulercong.ratfunc"]
+        "eulercong", "eulercong._intpoly", "eulercong.prooftrace"]
 
 
 def test_trace_loads_no_pool():
     loaded = loaded_after(run_main("trace", "--n", "2", "--m", "2"))
-    assert loaded == sorted(CORE + ["eulercong.poly", "eulercong.prooftrace",
-                                    "eulercong.ratfunc"])
+    assert loaded == sorted(CORE + ["eulercong.prooftrace"])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+def test_trace_loads_no_poly_or_fractions(fmt):
+    # A trace report holds integer pairs, and the CLI renders them as such.
+    code = run_main("trace", "--n", "4", "--m", "3", "--format", fmt)
+    loaded = loaded_after(code, ("eulercong", "fractions", "decimal", "numbers"))
+    assert loaded == sorted(CORE + ["eulercong.prooftrace"])
+
+
+def test_reading_a_trace_value_loads_the_rational_layer():
+    code = ("import sys\nfrom eulercong.prooftrace import diff_rational, full_trace\n"
+            "rep = full_trace(4, 3)\nassert 'eulercong.ratfunc' not in sys.modules\n"
+            "assert rep.diff_value == diff_rational(4, 3)")
+    loaded = loaded_after(code, ("eulercong", "fractions"))
+    assert loaded == ["eulercong", "eulercong._intpoly", "eulercong.poly",
+                      "eulercong.prooftrace", "eulercong.ratfunc", "fractions"]
 
 
 # What the stdlib process pool would load, and `select`, which a pool that

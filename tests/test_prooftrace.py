@@ -190,8 +190,8 @@ def _a1_equals_one(real):
 
 def _perturb_ratio(real, make_term):
     def patched(j, m, n):
-        value, exponent = real(j, m, n)
-        return make_term(value, exponent) if j == 1 else (value, exponent)
+        pair, exponent = real(j, m, n)
+        return make_term(pair, exponent) if j == 1 else (pair, exponent)
     return patched
 
 
@@ -200,26 +200,19 @@ def _perturb_ratio(real, make_term):
     # to order n+1 at t = 1 and stops matching the series.
     (lambda mp: mp.setattr(_intpoly, "eulerian_row", _a1_equals_one(_intpoly.eulerian_row)),
      ["diff_equals_series", "den_nonzero_at_one"]),
-    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
-        prooftrace.ratio_coeff, lambda v, k: (v * 2, k))), ["telescopes"]),
-    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
-        prooftrace.ratio_coeff, lambda v, k: (v, None))), ["divisors_bounded"]),
+    (lambda mp: mp.setattr(prooftrace, "_ratio", _perturb_ratio(
+        prooftrace._ratio, lambda v, k: (([2 * c for c in v[0]], v[1]), k))), ["telescopes"]),
+    (lambda mp: mp.setattr(prooftrace, "_ratio", _perturb_ratio(
+        prooftrace._ratio, lambda v, k: (v, None))), ["divisors_bounded"]),
     # A stray factor t - 1 in the j = 1 denominator: G_m^(n+1) is no longer
     # a common denominator of the terms, so they cannot telescope.
-    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
-        prooftrace.ratio_coeff,
-        lambda v, k: (RatFunc._from_reduced(v.num, v.den * Poly([-1, 1])), k))),
+    (lambda mp: mp.setattr(prooftrace, "_ratio", _perturb_ratio(
+        prooftrace._ratio, lambda v, k: ((v[0], _intpoly.times_binomial(v[1], 1)), k))),
      ["telescopes"]),
-    # Halved, the j = 1 value keeps its denominator and the integer
-    # numerators of its coefficients; only their common denominator 2
-    # tells it apart.
-    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
-        prooftrace.ratio_coeff, lambda v, k: (v * Fraction(1, 2), k))), ["telescopes"]),
-    # The j = 1 denominator over 2: its integer coefficients still divide
-    # G_m^(n+1), but it is no longer a monic integer polynomial.
-    (lambda mp: mp.setattr(prooftrace, "ratio_coeff", _perturb_ratio(
-        prooftrace.ratio_coeff,
-        lambda v, k: (RatFunc._from_reduced(v.num, v.den * Poly([Fraction(1, 2)])), k))),
+    # The j = 1 pair negated top and bottom: the same value, and its
+    # denominator still divides G_m^(n+1) exactly, but it is not monic.
+    (lambda mp: mp.setattr(prooftrace, "_ratio", _perturb_ratio(
+        prooftrace._ratio, lambda v, k: (([-c for c in v[0]], [-c for c in v[1]]), k))),
      ["telescopes"]),
 ])
 def test_failed_check_is_named(monkeypatch, patch, failed):
@@ -229,23 +222,34 @@ def test_failed_check_is_named(monkeypatch, patch, failed):
     assert rep.failed_checks() == failed
 
 
-def test_telescoping_scales_out_numerator_denominators(monkeypatch):
-    # A half moved from the j = 1 term to the j = 0 term leaves their sum as
-    # it was, but gives both numerators the integer denominator 2: the check
-    # must scale the terms to a common denominator, not drop them.
-    real = prooftrace.ratio_coeff
-    half = Poly([Fraction(1, 2)])
+def test_telescoping_sums_terms_over_their_own_denominators(monkeypatch):
+    # A unit moved from the j = 1 term to the j = 0 term leaves their sum as
+    # it was, but puts the j = 0 term over 1, not over a divisor shared with
+    # the others: the check must scale each numerator by its own cofactor.
+    real = prooftrace._ratio
 
     def shifted(j, m, n):
-        value, exponent = real(j, m, n)
+        (num, den), exponent = real(j, m, n)
         if j == 0:
-            value = RatFunc._from_reduced(-half, Poly([1]))
+            num, den = [-1], [1]
         elif j == 1:
-            value = RatFunc._from_reduced(value.num + value.den * half, value.den)
-        return value, exponent
+            num = _intpoly.add(num, den)
+        return (num, den), exponent
 
-    monkeypatch.setattr(prooftrace, "ratio_coeff", shifted)
+    monkeypatch.setattr(prooftrace, "_ratio", shifted)
     assert full_trace(3, 2).failed_checks() == []
+
+
+def test_report_views_read_their_own_pairs(monkeypatch):
+    # Under the A_1 = 1 convention the difference and the series value
+    # differ, so each view must be built from its own pair.
+    monkeypatch.setattr(_intpoly, "eulerian_row", _a1_equals_one(_intpoly.eulerian_row))
+    n, m = 3, 2
+    rep = full_trace(n, m)
+    assert rep.diff_value == diff_rational(n, m) != rep.series_value
+    assert rep.series_value == series_difference_coeff(n, m)
+    assert rep.den_at_one == Fraction(sum(rep.diff[1])) == diff_rational(n, m).den_value_at(1)
+    assert [term.value for term in rep.per_j] == [ratio_coeff(j, m, n)[0] for j in range(m)]
 
 
 def test_divisor_exponent_is_checked_by_division(monkeypatch):
