@@ -12,13 +12,13 @@ Every step is recomputed in exact arithmetic and cross-checked:
      each of whose coefficient denominators divides a power of
      G_m = 1 + t + ... + t^(m-1).
 
-`full_trace` records each check as a boolean of its report
-(diff_equals_series, telescopes, den_nonzero_at_one, divisors_bounded);
-all_checks is their conjunction. The telescoping check follows the
+`full_trace` records each check of CHECKS as a boolean of its report,
+and all_checks as their conjunction. The telescoping check follows the
 proof: it divides G_m^(n+1) exactly by each reported denominator and
 requires the signed sum of numerators times quotients to be zero. The
-quotients' numerators are built in two forms, compared once per (m, n):
-a disagreement is an ArithmeticError. One trace builds G_m^(n+1) once.
+quotients' numerators are built in two forms and compared: a disagreement
+is an ArithmeticError. A trace builds each shared polynomial (the kernel,
+the Phi_d, G_m^(n+1)) once, passes it to its steps, and keeps nothing.
 
 All arithmetic runs on the integer lists of `_intpoly`, the two sides of
 the congruence (`integer_sides`) included, so this module does not load
@@ -33,7 +33,7 @@ then are `poly`, `ratfunc` and `fractions` imported.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -131,9 +131,8 @@ def _binomial_sum(ns: list[list[int]], x: int, times_d) -> list[int]:
     return acc
 
 
-@lru_cache(maxsize=1)
-def _ratio_numerators(m: int, n: int) -> tuple[tuple, tuple, tuple]:
-    """G_m^(n+1), the factors Phi_d (1 < d | m) of G_m, and the ratio numerators.
+def _ratio_numerators(m: int, n: int, w: list[list[int]]) -> list[list[int]]:
+    """The ratio numerators over G_m^(n+1), from the kernel w = kernel(m, n).
 
     Numerator j < m is the x^n/n! coefficient of (1 - t^j e^(jx))/(1 - t^m e^(mx)) times
     G_m^(n+1), from sum_{i<j} t^i e^(ix) / sum_{i<m} t^i e^(ix). As it is built, it is checked
@@ -142,35 +141,31 @@ def _ratio_numerators(m: int, n: int) -> tuple[tuple, tuple, tuple]:
     times_g, times_d = partial(times_geometric, m=m), partial(times_binomial, e=m)
     s = [trim([i ** k for i in range(m)]) for k in range(n + 1)]
     r = egf_quotient([[1]] + [[]] * n, s, times_g)  # 1/S_m: r[k] / G_m^(k+1)
-    w = kernel(m, n)  # 1/(1 - t^m e^(mx)): w[k] / (t^m - 1)^(k+1)
     geometric = []
     acc: list[int] = []
     for j in range(m):
         direct = add(w[n], [0] * j + _binomial_sum(w, j, times_d), -1)
         if times_binomial(acc, 1, n + 1) != direct:
-            raise ArithmeticError(
-                f"ratio forms disagree at j={j}, m={m}, n={n}: arithmetic bug"
-            )
-        geometric.append(tuple(acc))
+            raise ArithmeticError(f"ratio forms disagree at j={j}, m={m}, n={n}: "
+                                  "arithmetic bug")
+        geometric.append(acc)
         acc = add(acc, [0] * j + _binomial_sum(r, j, times_g))
-    phis = tuple(map(tuple, cyclotomic(m)[1:]))
-    return tuple(times_geometric([1], m, n + 1)), phis, tuple(geometric)
+    return geometric
 
 
 # -- proof steps -------------------------------------------------------------
 
 
-def _over_tm_minus_one(num: list[int], m: int, n: int) -> Pair:
-    """num / (t^m - 1)^(n+1) in lowest terms; t^m - 1 = prod_{d|m} Phi_d."""
-    return _reduce(num, times_binomial([1], m, n + 1), cyclotomic(m), n + 1)[:2]
+def _over_tm_minus_one(num: list[int], m: int, n: int, phis: list[list[int]]) -> Pair:
+    """num / (t^m - 1)^(n+1) in lowest terms; t^m - 1 = prod_{d|m} Phi_d, the phis."""
+    return _reduce(num, times_binomial([1], m, n + 1), phis, n + 1)[:2]
 
 
-def _diff(n: int, m: int) -> Pair:
-    _check_nm(n, m)
+def _diff(n: int, m: int, phis: list[list[int]]) -> Pair:
     num = add(*integer_sides(n, m), -1)
     if n % 2 == 0:  # (1 - t^m)^(n+1) = -(t^m - 1)^(n+1)
         num = [-c for c in num]
-    return _over_tm_minus_one(num, m, n)
+    return _over_tm_minus_one(num, m, n, phis)
 
 
 def diff_rational(n: int, m: int) -> RatFunc:
@@ -179,28 +174,25 @@ def diff_rational(n: int, m: int) -> RatFunc:
     Over (1 - t^m)^(n+1) its numerator is m^(n+1) A_n(t^m) - G_m^(n+1) A_n(t),
     the cleared difference of the two sides of the congruence.
     """
-    return _ratfunc(_diff(n, m))
-
-
-def _series(n: int, m: int) -> Pair:
     _check_nm(n, m)
+    return _ratfunc(_diff(n, m, cyclotomic(m)))
+
+
+def _series(n: int, m: int, w_m: list[int], phis: list[list[int]]) -> Pair:
     # m w_m/(t^m - 1)^(n+1) - w_1/(t - 1)^(n+1), and t^m - 1 = (t - 1) G_m.
-    w_m, w_1 = kernel(m, n)[n], kernel(1, n)[n]
-    num = add([m * c for c in w_m], times_geometric(w_1, m, n + 1), -1)
-    return _over_tm_minus_one(num, m, n)
+    num = add([m * c for c in w_m], times_geometric(kernel(1, n)[n], m, n + 1), -1)
+    return _over_tm_minus_one(num, m, n, phis)
 
 
 def series_difference_coeff(n: int, m: int) -> RatFunc:
     """EGF coefficient n of m/(1 - t^m e^(mx)) - 1/(1 - t e^x)."""
-    return _ratfunc(_series(n, m))
-
-
-def _ratio(j: int, m: int, n: int) -> tuple[Pair, Optional[int]]:
     _check_nm(n, m)
-    if not 0 <= j < m:
-        raise ValueError("ratio term requires 0 <= j < m")
-    top, phis, geometric = _ratio_numerators(m, n)
-    num, den, exps = _reduce(list(geometric[j]), list(top), phis, n + 1)
+    return _ratfunc(_series(n, m, kernel(m, n)[n], cyclotomic(m)))
+
+
+def _ratio(j: int, m: int, n: int, numerators: list[list[int]], top: list[int],
+           phis: list[list[int]]) -> tuple[Pair, Optional[int]]:
+    num, den, exps = _reduce(numerators[j], top, phis[1:], n + 1)  # G_m lacks Phi_1
     k = max(exps, default=0)
     exponent = None if divmod_exact(times_geometric([1], m, k), den)[1] else k
     return (num, den), exponent
@@ -213,19 +205,23 @@ def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
     against the direct form. The second return is the smallest exponent
     k <= n+1 with the reduced denominator dividing
     (1 + t + ... + t^(m-1))^k, confirmed by an exact division (None if
-    that division leaves a remainder).
+    that division leaves a remainder). Each call builds all m numerators,
+    so a caller that wants every j should call `full_trace`.
     """
-    pair, exponent = _ratio(j, m, n)
+    _check_nm(n, m)
+    if not 0 <= j < m:
+        raise ValueError("ratio term requires 0 <= j < m")
+    numerators = _ratio_numerators(m, n, kernel(m, n))
+    pair, exponent = _ratio(j, m, n, numerators, times_geometric([1], m, n + 1), cyclotomic(m))
     return _ratfunc(pair), exponent
 
 
-def _telescopes(per_j: tuple[RatioTerm, ...], series: Pair, m: int, n: int) -> bool:
+def _telescopes(per_j: tuple[RatioTerm, ...], series: Pair, top: list[int]) -> bool:
     """Is sum_j per_j - series zero, by exact division of top = G_m^(n+1)?
 
     Each denominator must be monic, so that the division is exact over the
     integers (a monic divisor of top is an integer polynomial, by Gauss's lemma).
     """
-    top = _ratio_numerators(m, n)[0]
     total: list[int] = []
     for sign, (num, den) in [(1, term.ratio) for term in per_j] + [(-1, series)]:
         cofactor, rem = divmod_exact(top, den)
@@ -237,11 +233,14 @@ def _telescopes(per_j: tuple[RatioTerm, ...], series: Pair, m: int, n: int) -> b
 
 def full_trace(n: int, m: int) -> TraceReport:
     """Run every proof step for one (n, m) and record all intermediates."""
-    diff, series = _diff(n, m), _series(n, m)
-    per_j = tuple(RatioTerm(j, *_ratio(j, m, n)) for j in range(m))
+    _check_nm(n, m)
+    w, phis, top = kernel(m, n), cyclotomic(m), times_geometric([1], m, n + 1)
+    numerators = _ratio_numerators(m, n, w)
+    diff, series = _diff(n, m, phis), _series(n, m, w[n], phis)
+    per_j = tuple(RatioTerm(j, *_ratio(j, m, n, numerators, top, phis)) for j in range(m))
     checks = {
         "diff_equals_series": diff == series,
-        "telescopes": _telescopes(per_j, series, m, n),
+        "telescopes": _telescopes(per_j, series, top),
         "den_nonzero_at_one": sum(diff[1]) != 0,  # den(1)
         "divisors_bounded": all(term.divisor_exponent is not None for term in per_j),
     }

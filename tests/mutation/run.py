@@ -49,8 +49,12 @@ MUTANTS = [
     (TRACE, "[(1, term.ratio) for term in per_j]", "[(1, term.ratio) for term in per_j[1:]]",
      ("tests/test_prooftrace.py::test_telescoping_sums_terms_over_their_own_denominators",)),
     # _reduce skips Phi_1 when it reduces over t^m - 1.
-    (TRACE, "cyclotomic(m), n + 1)", "cyclotomic(m)[1:], n + 1)",
+    (TRACE, "phis, n + 1)[:2]", "phis[1:], n + 1)[:2]",
      ("tests/test_prooftrace.py::test_diff_rational_n1_m2",
+      "tests/test_prooftrace.py::test_full_trace_n3_m3")),
+    # full_trace hands the series step the kernel's coefficient n - 1, not n.
+    (TRACE, "_series(n, m, w[n], phis)", "_series(n, m, w[n - 1], phis)",
+     ("tests/test_prooftrace.py::test_report_views_read_their_own_pairs",
       "tests/test_prooftrace.py::test_full_trace_n3_m3")),
     # M1: the telescoping check drops its monic guard.
     (TRACE, "if rem or den[-1] != 1:", "if rem:",

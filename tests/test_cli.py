@@ -329,7 +329,6 @@ def test_ratio_forms_disagreeing_exits_3(capsys, monkeypatch):
         return w[:-1] + [[w[-1][0] + 1, *w[-1][1:]]]
 
     monkeypatch.setattr(prooftrace, "kernel", perturbed)
-    prooftrace._ratio_numerators.cache_clear()
     code, out, err = run(capsys, "trace", "--n", "3", "--m", "2")
     assert code == 3
     assert out == ""

@@ -70,6 +70,9 @@ def test_ratio_coeff_rejects_bad_j():
     (full_trace, -1, 2),
     (full_trace, 0, 0),
     (diff_rational, 2, 0),
+    (series_difference_coeff, -1, 2),
+    (series_difference_coeff, 0, 0),
+    (lambda n, m: ratio_coeff(0, m, n), -1, 2),
 ])
 def test_proof_steps_reject_bad_n_m(step, n, m):
     with pytest.raises(ValueError):
@@ -180,7 +183,6 @@ def test_full_trace_runs_no_gcd(monkeypatch):
     monkeypatch.setattr(poly, "poly_gcd", refuse)
     monkeypatch.setattr(ratfunc, "poly_gcd", refuse)
     monkeypatch.setattr(ratfunc.RatFunc, "__init__", refuse)
-    prooftrace._ratio_numerators.cache_clear()
     assert full_trace(8, 6).all_checks
 
 
@@ -189,8 +191,8 @@ def _a1_equals_one(real):
 
 
 def _perturb_ratio(real, make_term):
-    def patched(j, m, n):
-        pair, exponent = real(j, m, n)
+    def patched(j, *shared):
+        pair, exponent = real(j, *shared)
         return make_term(pair, exponent) if j == 1 else (pair, exponent)
     return patched
 
@@ -228,8 +230,8 @@ def test_telescoping_sums_terms_over_their_own_denominators(monkeypatch):
     # the others: the check must scale each numerator by its own cofactor.
     real = prooftrace._ratio
 
-    def shifted(j, m, n):
-        (num, den), exponent = real(j, m, n)
+    def shifted(j, *shared):
+        (num, den), exponent = real(j, *shared)
         if j == 0:
             num, den = [-1], [1]
         elif j == 1:
@@ -285,22 +287,44 @@ def test_divisor_exponent_is_confirmed_by_its_own_power(monkeypatch):
 
 @pytest.mark.parametrize("n,m", [(5, 4), (2, 6)])
 def test_trace_builds_shared_polynomials_once(monkeypatch, n, m):
-    # The builder makes G_m^(n+1) and the Phi_d once per (m, n), next to the
-    # ratio numerators; ratio_coeff reads them and builds only its G_m^k.
-    calls = dict.fromkeys(["cyclotomic", "egf_quotient", "kernel", "times_geometric"], 0)
+    # Each full_trace builds kernel(m, n), the Phi_d and the 1/S_m inverse once
+    # and hands them to its steps; a public view builds only what it needs.
+    calls = {name: [] for name in ("cyclotomic", "egf_quotient", "kernel")}
 
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    def recording(name, real):
+        def wrapper(*args):
+            calls[name].append(args if name != "egf_quotient" else "1/S_m")
+            return real(*args)
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(prooftrace, name, counting(name, getattr(prooftrace, name)))
-    prooftrace._ratio_numerators.cache_clear()
-    full_trace(n, m)
-    assert calls["cyclotomic"] == 3  # diff_rational, series_difference_coeff, builder
-    calls.update(dict.fromkeys(calls, 0))
-    for j in range(m):
-        ratio_coeff(j, m, n)
-    assert calls == {"cyclotomic": 0, "egf_quotient": 0, "kernel": 0, "times_geometric": m}
+        monkeypatch.setattr(prooftrace, name, recording(name, getattr(prooftrace, name)))
+    for _ in range(2):
+        full_trace(n, m)
+        assert calls == {"cyclotomic": [(m,)], "egf_quotient": ["1/S_m"],
+                         "kernel": [(m, n), (1, n)]}
+        calls.update({name: [] for name in calls})
+    # The series step alone pays for no dense 1/S_m inverse.
+    series_difference_coeff(n, m)
+    assert calls == {"cyclotomic": [(m,)], "egf_quotient": [], "kernel": [(m, n), (1, n)]}
+    calls.update({name: [] for name in calls})
+    # ratio_coeff alone builds every numerator, for its one j.
+    ratio_coeff(m - 1, m, n)
+    assert calls == {"cyclotomic": [(m,)], "egf_quotient": ["1/S_m"], "kernel": [(m, n)]}
+
+
+def test_trace_keeps_nothing_between_calls(monkeypatch):
+    # A kernel perturbed after a first trace of the same (n, m) must reach the
+    # second trace's direct form of the ratios, so the two forms disagree: an
+    # arithmetic invariant broke. A numerator kept from the first trace would
+    # hide it and blame the proof checks instead.
+    full_trace(3, 3)
+    real = prooftrace.kernel
+
+    def perturbed(c, n):
+        w = real(c, n)
+        return w[:-1] + [[w[-1][0] + 1, *w[-1][1:]]]
+
+    monkeypatch.setattr(prooftrace, "kernel", perturbed)
+    with pytest.raises(ArithmeticError, match="ratio forms disagree"):
+        full_trace(3, 3)
