@@ -43,7 +43,7 @@ Each subcommand imports only what it runs: `verify` (also with
 `--parallel`) loads `cli`, `congruence` and `_intpoly`, and neither
 `poly` nor `fractions`; `eulerian` (every method) adds `eulerian` and
 `poly`; `trace` adds only `prooftrace`, whose report holds integer pairs
-(rendered by the same two functions) and builds `RatFunc` only when a
+(written by `render`, or `str` in json) and builds `RatFunc` only when a
 field is read. None loads `concurrent.futures`, `dataclasses` or `json`.
 """
 
@@ -90,7 +90,7 @@ def ratfunc_json(r: RatFunc) -> dict:
 
 
 def pair_json(pair: Pair) -> dict:
-    return {"num": fraction_strs(pair[0], 1), "den": fraction_strs(pair[1], 1)}
+    return {"num": [str(c) for c in pair[0]], "den": [str(c) for c in pair[1]]}
 
 
 def pair_text(pair: Pair, latex: bool = False) -> str:
@@ -126,7 +126,7 @@ def trace_json(rep: TraceReport) -> dict:
             }
             for term in rep.per_j
         ],
-        "den_at_one": str(sum(rep.diff[1])),  # den(1): rep.den_at_one, not built
+        "den_at_one": str(rep.den_at_one),
     }
 
 
@@ -372,7 +372,7 @@ def _cmd_trace(args, parser) -> int:
         print(f"n={rep.n} m={rep.m} all_checks={str(rep.all_checks).lower()}")
         print(f"  difference = {pair_text(rep.diff)}")
         print(f"  series coefficient = {pair_text(rep.series)}")
-        print(f"  denominator at t=1: {sum(rep.diff[1])}")
+        print(f"  denominator at t=1: {rep.den_at_one}")
         for term in rep.per_j:
             print(f"  j={term.j}: value={pair_text(term.ratio)} "
                   f"divisor_exponent={term.divisor_exponent}")

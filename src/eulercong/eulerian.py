@@ -6,15 +6,14 @@ generating function sum_n A_n(t)/(1-t)^(n+1) x^n/n! = 1/(1 - t e^x),
 so A_1(t) = t (NOT the also-common A_1(t) = 1). The congruence this
 package verifies is false under the other convention.
 
-These are the rational layer's constructions, which return `Poly` and
-`Fraction` values. The recurrence and the gf start from the integer
-constructions `_intpoly.eulerian_row` and `_intpoly.kernel`, which
-verify and trace read directly, so neither loads this module.
+These are the rational layer's constructions, which return `Poly`s
+(`worpitzky_row` returns ints). The recurrence and the gf start from
+the integer constructions `_intpoly.eulerian_row` and `_intpoly.kernel`,
+which verify and trace read directly, so neither loads this module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, permutations
 from typing import NamedTuple
 
@@ -62,7 +61,7 @@ def eulerian_from_gf(n: int) -> EulerianPoly:
     return EulerianPoly(n, Poly([sign * c for c in kernel(1, n)[n]]))
 
 
-def worpitzky_row(n: int, K: int) -> list[Fraction]:
+def worpitzky_row(n: int, K: int) -> list[int]:
     """Coefficients of t^0..t^K in A_n(t)/(1-t)^(n+1); coefficient k is k^n.
 
     Dividing a series by 1 - t takes its running sums, so this is n+1
@@ -74,4 +73,4 @@ def worpitzky_row(n: int, K: int) -> list[Fraction]:
     cs = list(row) + [0] * (K + 1 - len(row))
     for _ in range(n + 1):
         cs = list(accumulate(cs))
-    return [Fraction(c) for c in cs]
+    return cs

@@ -27,8 +27,8 @@ prod_{d|m} Phi_d, so a reported value is reduced by exact trial division
 by each cyclotomic Phi_d, never by a polynomial gcd. Series quotients are
 divided in EGF-normalised integer form (`_intpoly.egf_quotient`). A
 report holds each value as a reduced integer pair (num, den), and builds
-its `RatFunc` (and the `Fraction` den_at_one) only when read, so only
-then are `poly`, `ratfunc` and `fractions` imported.
+its `RatFunc` only when read, so only then are `poly`, `ratfunc` and
+`fractions` imported; den_at_one is den(1) of the pair, an int.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class TraceReport(NamedTuple):
 
     diff_value = property(lambda rep: _ratfunc(rep.diff))
     series_value = property(lambda rep: _ratfunc(rep.series))
-    den_at_one = property(lambda rep: _ratfunc(rep.diff).den_value_at(1))
+    den_at_one = property(lambda rep: sum(rep.diff[1]))  # den(1)
 
     def failed_checks(self) -> list[str]:
         """Names of the proof checks that failed, in proof order."""

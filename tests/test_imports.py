@@ -127,6 +127,15 @@ def test_trace_loads_no_poly_or_fractions(fmt):
     assert loaded == sorted(CORE + ["eulercong.prooftrace"])
 
 
+def test_reading_den_at_one_loads_no_rational_layer():
+    # den_at_one is den(1) of the report's integer pair, an int.
+    code = ("from eulercong.prooftrace import full_trace\n"
+            "value = full_trace(6, 4).den_at_one\n"
+            "assert type(value) is int and value == 16384")
+    loaded = loaded_after(code, ("eulercong", "fractions"))
+    assert loaded == ["eulercong", "eulercong._intpoly", "eulercong.prooftrace"]
+
+
 def test_reading_a_trace_value_loads_the_rational_layer():
     code = ("import sys\nfrom eulercong.prooftrace import diff_rational, full_trace\n"
             "rep = full_trace(4, 3)\nassert 'eulercong.ratfunc' not in sys.modules\n"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import trace_oracle
 from eulercong import _intpoly, poly, prooftrace, ratfunc
+from eulercong.congruence import verify_congruence
 from eulercong.eulerian import eulerian_recurrence
 from eulercong.poly import Poly, geometric_poly
 from eulercong.prooftrace import (
@@ -139,6 +140,34 @@ def test_substitution_consistency(n, m):
     assert kernel.egf_coeff(n) == direct
 
 
+# -- the exact denominator: the trace's difference is verify's cofactor ------
+
+
+def _cofactor_over_g_power(n, m):
+    """(-1)^(n+1) cofactor / G_m^(n+1), with verify's integer cofactor D/(t-1)^(n+1).
+
+    At m = 1 this is ([], [1]): D is zero and G_1 = 1.
+    """
+    sign = (-1) ** (n + 1)
+    return ([sign * c for c in verify_congruence(n, m).cofactor_num],
+            _intpoly.times_geometric([1], m, n + 1))
+
+
+def test_reduced_difference_is_verify_cofactor_over_g_power():
+    # The trace reduces by trial division by each Phi_d and verify divides by
+    # t - 1 synthetically; the two share only integer_sides.
+    wrong = [(n, m) for n in range(21) for m in range(1, 13)
+             if prooftrace._diff(n, m, _intpoly.cyclotomic(m)) != _cofactor_over_g_power(n, m)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("n,m", [(0, 1), (5, 1), (0, 2), (1, 2), (6, 4), (5, 7), (9, 6)])
+def test_full_trace_difference_is_exactly_over_g_power(n, m):
+    rep = full_trace(n, m)
+    assert rep.diff == _cofactor_over_g_power(n, m)
+    assert rep.den_at_one == m ** (n + 1)
+
+
 # -- the integer trace against the RatFunc/TruncatedSeries reference ---------
 
 
@@ -154,7 +183,7 @@ def _fields(rep) -> dict:
 def _assert_matches_oracle(n, m):
     rep = full_trace(n, m)
     assert _fields(rep) == trace_oracle.trace_fields(n, m)
-    assert isinstance(rep.den_at_one, Fraction)
+    assert isinstance(rep.den_at_one, int)
     assert rep.all_checks and rep.failed_checks() == []
 
 
