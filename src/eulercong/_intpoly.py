@@ -15,7 +15,9 @@ kernels too.
 
 `render` and `fraction_strs` are the package's only formatters of
 polynomials and coefficients: a rational polynomial is written from its
-integer numerators over one positive denominator.
+integer numerators over one positive denominator. `poly_view` and
+`ratfunc_view`, the one bridge to the rational layer, build the `Poly`
+and `RatFunc` views of integer results, and import those layers on call.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from __future__ import annotations
 from itertools import accumulate, zip_longest
 from math import comb, gcd
 from operator import sub
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .poly import Poly
+    from .ratfunc import RatFunc
 
 
 def trim(p: list[int]) -> list[int]:
@@ -203,3 +210,17 @@ def render(nums: list[int], den: int = 1, latex: bool = False) -> str:
         sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
         parts.append(sign + term)
     return " ".join(parts) or "0"
+
+
+def poly_view(nums: list[int], den: int = 1) -> Poly:
+    """The `Poly` nums/den in lowest terms, for ints nums and den > 0."""
+    from .poly import _over
+
+    return _over(nums, den)
+
+
+def ratfunc_view(pair: tuple[list[int], list[int]]) -> RatFunc:
+    """The `RatFunc` num/den of a reduced pair: coprime, den monic, [] / [1] for zero."""
+    from .ratfunc import RatFunc
+
+    return RatFunc._from_reduced(poly_view(pair[0]), poly_view(pair[1]))

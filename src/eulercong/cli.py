@@ -40,11 +40,10 @@ one indented writer of every subcommand and gives the bytes of
 `json.dumps(obj, indent=2)`.
 
 Each subcommand imports only what it runs: `verify` (also with
-`--parallel`) loads `cli`, `congruence` and `_intpoly`, and neither
-`poly` nor `fractions`; `eulerian` (every method) adds `eulerian` and
-`poly`; `trace` adds only `prooftrace`, whose report holds integer pairs
-(written by `render`, or `str` in json) and builds `RatFunc` only when a
-field is read. None loads `concurrent.futures`, `dataclasses` or `json`.
+`--parallel`) loads `cli`, `congruence` and `_intpoly`, `eulerian`
+(every method) adds `eulerian`, and `trace` adds `prooftrace`. All three
+write integer results, so none loads `poly`, `fractions`,
+`concurrent.futures`, `dataclasses` or `json`.
 """
 
 from __future__ import annotations
@@ -197,17 +196,13 @@ def _cmd_eulerian(args, parser) -> int:
 
     if args.method == "bruteforce" and args.n > eulerian.BRUTEFORCE_CAP:
         parser.error(f"brute force capped at n <= {eulerian.BRUTEFORCE_CAP} (got {args.n})")
-    ep = getattr(eulerian, METHODS[args.method])(args.n)
+    row = getattr(eulerian, METHODS[args.method])(args.n).coeffs
     if args.format == "plain":
-        print(ep.poly)
+        print(render(row))
     elif args.format == "latex":
-        print(f"A_{{{ep.n}}}(t) = {ep.poly.render(latex=True)}")
+        print(f"A_{{{args.n}}}(t) = {render(row, latex=True)}")
     else:
-        print(dump_json({
-            "n": ep.n,
-            "method": args.method,
-            "coeffs": fraction_strs(ep.poly.num, ep.poly.den),
-        }))
+        print(dump_json({"n": args.n, "method": args.method, "coeffs": [str(c) for c in row]}))
     return 0
 
 

@@ -8,9 +8,9 @@ The two sides come from `_intpoly.integer_sides`, and all arithmetic
 runs on `_intpoly`'s integer lists. The only true rational is the scale
 1/m^(n+1), so a report keeps its certificate as integer numerators over
 one positive common denominator `den` (m^(n+1) in `verify_congruence`):
-the difference of the sides is divided by (t-1) n+1 times. The rational
-`Poly` fields are built only when read, and only then are `poly` and
-`fractions` imported, so verify loads neither.
+the difference of the sides is divided by (t-1) n+1 times. Its `Poly`
+fields are views that `_intpoly.poly_view` builds when read, so verify
+loads neither `poly` nor `fractions`.
 """
 
 from __future__ import annotations
@@ -18,16 +18,10 @@ from __future__ import annotations
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._intpoly import add, divide_by_shift, from_shift_basis, integer_sides, mul, trim
+from ._intpoly import add, divide_by_shift, from_shift_basis, integer_sides, mul, poly_view, trim
 
 if TYPE_CHECKING:
     from .poly import Poly
-
-
-def _over(nums: list[int], den: int) -> Poly:
-    from .poly import _over
-
-    return _over(nums, den)
 
 
 class CongruenceReport(NamedTuple):
@@ -48,11 +42,11 @@ class CongruenceReport(NamedTuple):
     remainder_num: list[int]
     cofactor_num: list[int]
 
-    lhs = property(lambda r: _over(r.lhs_num, r.den))
-    rhs = property(lambda r: _over(r.rhs_num, r.den))
-    difference = property(lambda r: _over(r.difference_num, r.den))
-    remainder = property(lambda r: _over(r.remainder_num, r.den))
-    cofactor = property(lambda r: _over(r.cofactor_num, r.den))
+    lhs = property(lambda r: poly_view(r.lhs_num, r.den))
+    rhs = property(lambda r: poly_view(r.rhs_num, r.den))
+    difference = property(lambda r: poly_view(r.difference_num, r.den))
+    remainder = property(lambda r: poly_view(r.remainder_num, r.den))
+    cofactor = property(lambda r: poly_view(r.cofactor_num, r.den))
 
 
 def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> CongruenceReport:

@@ -6,9 +6,9 @@ generating function sum_n A_n(t)/(1-t)^(n+1) x^n/n! = 1/(1 - t e^x),
 so A_1(t) = t (NOT the also-common A_1(t) = 1). The congruence this
 package verifies is false under the other convention.
 
-These are the rational layer's constructions, which return `Poly`s
-(`worpitzky_row` returns ints). The recurrence and the gf start from
-the integer constructions `_intpoly.eulerian_row` and `_intpoly.kernel`,
+Each construction returns A_n's integer row; `.poly` is its `Poly`,
+built by `_intpoly.poly_view` when read, so this module loads no `poly`.
+The recurrence and the gf start from `_intpoly.eulerian_row` and `kernel`,
 which verify and trace read directly, so neither loads this module.
 """
 
@@ -17,20 +17,21 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from typing import NamedTuple
 
-from ._intpoly import eulerian_row, kernel
-from .poly import Poly
+from ._intpoly import eulerian_row, kernel, poly_view
 
 BRUTEFORCE_CAP = 9
 
 
 class EulerianPoly(NamedTuple):
     n: int
-    poly: Poly
+    coeffs: tuple[int, ...]  # A_n's trimmed integer row, ascending
+
+    poly = property(lambda ep: poly_view(ep.coeffs))
 
 
 def eulerian_recurrence(n: int) -> EulerianPoly:
     """A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), from A_0 = 1."""
-    return EulerianPoly(n, Poly(eulerian_row(n)))
+    return EulerianPoly(n, eulerian_row(n))
 
 
 def eulerian_bruteforce(n: int) -> EulerianPoly:
@@ -40,12 +41,12 @@ def eulerian_bruteforce(n: int) -> EulerianPoly:
     if n > BRUTEFORCE_CAP:
         raise ValueError(f"brute force capped at n <= {BRUTEFORCE_CAP} (got {n})")
     if n == 0:
-        return EulerianPoly(0, Poly([1]))
+        return EulerianPoly(0, (1,))
     counts = [0] * (n + 1)
     for sigma in permutations(range(n)):
         des = sum(1 for i in range(n - 1) if sigma[i] > sigma[i + 1])
         counts[des + 1] += 1
-    return EulerianPoly(n, Poly(counts))
+    return EulerianPoly(n, tuple(counts))
 
 
 def eulerian_from_gf(n: int) -> EulerianPoly:
@@ -57,8 +58,7 @@ def eulerian_from_gf(n: int) -> EulerianPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sign = -1 if n % 2 == 0 else 1
-    return EulerianPoly(n, Poly([sign * c for c in kernel(1, n)[n]]))
+    return EulerianPoly(n, tuple((-1) ** (n + 1) * c for c in kernel(1, n)[n]))
 
 
 def worpitzky_row(n: int, K: int) -> list[int]:

@@ -6,12 +6,12 @@ t^i), and `den` a positive int, in lowest terms: gcd(den, *num) == 1,
 and the zero polynomial is () over 1. So equality is structural (a `Poly`
 is unhashable), and `coeffs` gives the reduced `Fraction`s on demand.
 
-This is the rational layer of the package: the proof trace's `RatFunc`,
-the acceptance suite and the test oracles compute with it. Its
-arithmetic runs on the integer kernels of `_intpoly` (`add`, `mul`, and
-`divmod_exact` after pre-scaling by a power of the divisor's leading
-coefficient), and `Poly.render` prints through `_intpoly.render`, the
-one renderer.
+This is the rational layer of the package: `RatFunc`, the acceptance
+suite and the test oracles compute with it, and the package's integer
+results reach it through `_intpoly.poly_view`. Its arithmetic runs on
+the integer kernels of `_intpoly` (`add`, `mul`, and `divmod_exact` after
+pre-scaling by a power of the divisor's leading coefficient), and `str`
+prints through `_intpoly.render`, the one renderer.
 """
 
 from __future__ import annotations
@@ -145,11 +145,8 @@ class Poly:
 
     # -- rendering ------------------------------------------------------
 
-    def render(self, latex: bool = False) -> str:
-        return render(self.num, self.den, latex)
-
     def __str__(self) -> str:
-        return self.render()
+        return render(self.num, self.den)
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"

@@ -26,9 +26,8 @@ the congruence (`integer_sides`) included, so this module does not load
 prod_{d|m} Phi_d, so a reported value is reduced by exact trial division
 by each cyclotomic Phi_d, never by a polynomial gcd. Series quotients are
 divided in EGF-normalised integer form (`_intpoly.egf_quotient`). A
-report holds each value as a reduced integer pair (num, den), and builds
-its `RatFunc` only when read, so only then are `poly`, `ratfunc` and
-`fractions` imported; den_at_one is den(1) of the pair, an int.
+report holds each value as a reduced integer pair (num, den), read as a
+`RatFunc` through `_intpoly.ratfunc_view`; den_at_one is den(1), an int.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, integer_sides, kernel,
-                       mul, times_binomial, times_geometric, trim)
+                       mul, ratfunc_view, times_binomial, times_geometric, trim)
 
 if TYPE_CHECKING:
     from .ratfunc import RatFunc
@@ -46,19 +45,12 @@ if TYPE_CHECKING:
 Pair = tuple[list[int], list[int]]  # num / den, coprime, den monic, and [] / [1] for zero
 
 
-def _ratfunc(pair: Pair) -> RatFunc:
-    from .poly import _over
-    from .ratfunc import RatFunc
-
-    return RatFunc._from_reduced(_over(pair[0]), _over(pair[1]))
-
-
 class RatioTerm(NamedTuple):
     j: int
     ratio: Pair
     divisor_exponent: Optional[int]
 
-    value = property(lambda term: _ratfunc(term.ratio))
+    value = property(lambda term: ratfunc_view(term.ratio))
 
 
 # The proof checks of a trace, in proof order; all_checks is their conjunction.
@@ -77,8 +69,8 @@ class TraceReport(NamedTuple):
     den_nonzero_at_one: bool
     divisors_bounded: bool
 
-    diff_value = property(lambda rep: _ratfunc(rep.diff))
-    series_value = property(lambda rep: _ratfunc(rep.series))
+    diff_value = property(lambda rep: ratfunc_view(rep.diff))
+    series_value = property(lambda rep: ratfunc_view(rep.series))
     den_at_one = property(lambda rep: sum(rep.diff[1]))  # den(1)
 
     def failed_checks(self) -> list[str]:
@@ -175,7 +167,7 @@ def diff_rational(n: int, m: int) -> RatFunc:
     the cleared difference of the two sides of the congruence.
     """
     _check_nm(n, m)
-    return _ratfunc(_diff(n, m, cyclotomic(m)))
+    return ratfunc_view(_diff(n, m, cyclotomic(m)))
 
 
 def _series(n: int, m: int, w_m: list[int], phis: list[list[int]]) -> Pair:
@@ -187,7 +179,7 @@ def _series(n: int, m: int, w_m: list[int], phis: list[list[int]]) -> Pair:
 def series_difference_coeff(n: int, m: int) -> RatFunc:
     """EGF coefficient n of m/(1 - t^m e^(mx)) - 1/(1 - t e^x)."""
     _check_nm(n, m)
-    return _ratfunc(_series(n, m, kernel(m, n)[n], cyclotomic(m)))
+    return ratfunc_view(_series(n, m, kernel(m, n)[n], cyclotomic(m)))
 
 
 def _ratio(j: int, m: int, n: int, numerators: list[list[int]], top: list[int],
@@ -213,7 +205,7 @@ def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
         raise ValueError("ratio term requires 0 <= j < m")
     numerators = _ratio_numerators(m, n, kernel(m, n))
     pair, exponent = _ratio(j, m, n, numerators, times_geometric([1], m, n + 1), cyclotomic(m))
-    return _ratfunc(pair), exponent
+    return ratfunc_view(pair), exponent
 
 
 def _telescopes(per_j: tuple[RatioTerm, ...], series: Pair, top: list[int]) -> bool:

@@ -62,12 +62,12 @@ MUTANTS = [
     (TRACE, "if rem or den[-1] != 1:", "if rem:",
      ("tests/test_prooftrace.py::test_failed_check_is_named",)),
     # A report's diff_value is built from its series pair.
-    (TRACE, "diff_value = property(lambda rep: _ratfunc(rep.diff))",
-     "diff_value = property(lambda rep: _ratfunc(rep.series))",
+    (TRACE, "diff_value = property(lambda rep: ratfunc_view(rep.diff))",
+     "diff_value = property(lambda rep: ratfunc_view(rep.series))",
      ("tests/test_prooftrace.py::test_report_views_read_their_own_pairs",)),
     # A report's series_value is built from its diff pair.
-    (TRACE, "series_value = property(lambda rep: _ratfunc(rep.series))",
-     "series_value = property(lambda rep: _ratfunc(rep.diff))",
+    (TRACE, "series_value = property(lambda rep: ratfunc_view(rep.series))",
+     "series_value = property(lambda rep: ratfunc_view(rep.diff))",
      ("tests/test_prooftrace.py::test_report_views_read_their_own_pairs",)),
     # den_at_one is the numerator's value at t = 1.
     (TRACE, "lambda rep: sum(rep.diff[1])", "lambda rep: sum(rep.diff[0])",
@@ -75,13 +75,9 @@ MUTANTS = [
     # _reduce leaves one power of each Phi uncancelled.
     (TRACE, "        k = e\n", "        k = e - 1\n",
      ("tests/test_prooftrace.py::test_reduced_difference_is_verify_cofactor_over_g_power",)),
-    # The RatFunc view of a pair swaps numerator and denominator.
-    (TRACE, "RatFunc._from_reduced(_over(pair[0]), _over(pair[1]))",
-     "RatFunc._from_reduced(_over(pair[1]), _over(pair[0]))",
-     ("tests/test_prooftrace.py::test_diff_rational_n1_m2",)),
     # A RatioTerm's value drops its denominator.
-    (TRACE, "value = property(lambda term: _ratfunc(term.ratio))",
-     "value = property(lambda term: _ratfunc((term.ratio[0], [1])))",
+    (TRACE, "value = property(lambda term: ratfunc_view(term.ratio))",
+     "value = property(lambda term: ratfunc_view((term.ratio[0], [1])))",
      ("tests/test_prooftrace.py::test_full_trace_n1_m2",)),
     # M11: the exponent is confirmed by dividing G_m^(n+1), not G_m^k.
     (TRACE, "divmod_exact(times_geometric([1], m, k), den)", "divmod_exact(top, den)",
@@ -142,6 +138,14 @@ MUTANTS = [
      "for _ in range(min(k, 2)):\n        p = add(",
      ("tests/test_prooftrace.py::test_denominator_divides_geometric_power",
       "tests/test_intpoly.py::test_times_binomial_is_a_power_of_t_e_minus_one")),
+    # The RatFunc view of a pair swaps numerator and denominator.
+    (KERNELS, "RatFunc._from_reduced(poly_view(pair[0]), poly_view(pair[1]))",
+     "RatFunc._from_reduced(poly_view(pair[1]), poly_view(pair[0]))",
+     ("tests/test_prooftrace.py::test_diff_rational_n1_m2",)),
+    # The Poly view of numerators over a denominator drops the denominator.
+    (KERNELS, "return _over(nums, den)", "return _over(nums)",
+     ("tests/test_congruence.py::test_sides_n1_m2",
+      "tests/test_congruence.py::test_verify_n1_m2_certificate")),
     # The left side is scaled by m^n, not m^(n+1).
     (KERNELS, "scale = m ** (n + 1)", "scale = m ** n",
      ("tests/test_congruence.py::test_sides_n0_m3",
@@ -158,6 +162,14 @@ MUTANTS = [
     (CONGRUENCE, "not taylor", "True",
      ("tests/test_congruence.py::test_negative_control_unscaled_rhs",
       "tests/test_congruence.py::test_report_from_sides_matches_fraction_oracle")),
+    # Brute force gives A_0 = t, not 1.
+    (EULERIAN, "return EulerianPoly(0, (1,))", "return EulerianPoly(0, (0, 1))",
+     ("tests/test_eulerian.py::test_bruteforce_known_values",
+      "tests/test_eulerian.py::test_coeffs_is_the_trimmed_integer_row")),
+    # An EulerianPoly's Poly view reads its row backwards.
+    (EULERIAN, "poly_view(ep.coeffs)", "poly_view(ep.coeffs[::-1])",
+     ("tests/test_eulerian.py::test_recurrence_known_values",
+      "tests/test_eulerian.py::test_coeffs_is_the_trimmed_integer_row")),
     # worpitzky_row takes one running sum too few.
     (EULERIAN, "for _ in range(n + 1):", "for _ in range(n):",
      ("tests/test_eulerian.py::test_worpitzky_examples",)),

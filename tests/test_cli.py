@@ -37,6 +37,12 @@ def test_eulerian_methods_agree(capsys, method):
     code, out, _ = run(capsys, "eulerian", "--n", "5", "--method", method)
     assert code == 0
     assert out.strip() == "t + 26*t^2 + 66*t^3 + 26*t^4 + t^5"
+    # In every format the bytes are the recurrence's, but for the method
+    # that the JSON names.
+    for fmt in ("plain", "latex", "json"):
+        expected = run(capsys, "eulerian", "--n", "5", "--format", fmt)
+        assert run(capsys, "eulerian", "--n", "5", "--method", method, "--format", fmt) == (
+            0, expected[1].replace('"recurrence"', f'"{method}"'), "")
 
 
 def test_eulerian_json(capsys):

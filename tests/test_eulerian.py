@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 
 from eulercong.eulerian import (
+    BRUTEFORCE_CAP,
     eulerian_bruteforce,
     eulerian_from_gf,
     eulerian_recurrence,
@@ -11,6 +12,7 @@ from eulercong.eulerian import (
     worpitzky_row,
 )
 from eulercong.poly import Poly
+from test_golden import checks
 
 # Frozen from the descent-enumeration oracle (t^(des+1) over S_n).
 KNOWN = {
@@ -42,6 +44,19 @@ def test_cross_method_equality(n):
     r = eulerian_recurrence(n).poly
     assert eulerian_bruteforce(n).poly == r
     assert eulerian_from_gf(n).poly == r
+
+
+@pytest.mark.parametrize("build,n_max", [(eulerian_recurrence, 20), (eulerian_from_gf, 20),
+                                         (eulerian_bruteforce, BRUTEFORCE_CAP)])
+def test_coeffs_is_the_trimmed_integer_row(build, n_max):
+    # Each construction returns A_n's integer row, the checker's alternating
+    # sum, and `.poly` is its Poly view.
+    for n in range(n_max + 1):
+        ep = build(n)
+        assert type(ep.coeffs) is tuple and ep.coeffs[-1] != 0
+        assert all(type(c) is int for c in ep.coeffs)
+        assert ep.coeffs == tuple(checks.eulerian(n))
+        assert ep.poly == Poly(list(ep.coeffs))
 
 
 def test_gf_equals_recurrence_up_to_cap():

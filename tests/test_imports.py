@@ -88,17 +88,72 @@ def test_verify_loads_no_prooftrace():
 
 
 def test_gf_method_loads_only_the_core():
-    # The constructions return Polys, so eulerian, by every method, adds
-    # `eulerian` and `poly` to what verify loads.
+    # The constructions return integer rows, which the CLI renders as
+    # such, so eulerian, by every method and in every format, adds only
+    # `eulerian` to what verify loads: no `poly`, `fractions` or `decimal`.
     for method in ("gf", "recurrence", "bruteforce"):
-        loaded = loaded_after(run_main("eulerian", "--n", "5", "--method", method))
-        assert loaded == sorted(CORE + ["eulercong.eulerian", "eulercong.poly"]), method
+        for fmt in ("plain", "latex", "json"):
+            code = run_main("eulerian", "--n", "5", "--method", method, "--format", fmt)
+            loaded = loaded_after(code, ("eulercong", "fractions", "decimal", "numbers"))
+            assert loaded == sorted(CORE + ["eulercong.eulerian"]), (method, fmt)
 
 
 def test_eulerian_module_loads_no_trace_or_series():
     loaded = loaded_after("import eulercong.eulerian")
     for name in ("eulercong.prooftrace", "eulercong.series", "eulercong.ratfunc"):
         assert name not in loaded
+
+
+def test_reading_an_eulerian_poly_loads_the_rational_layer():
+    # A construction returns an integer row; `.poly` builds its Poly view.
+    code = ("import sys\nfrom eulercong.eulerian import eulerian_recurrence\n"
+            "ep = eulerian_recurrence(5)\nassert 'eulercong.poly' not in sys.modules\n"
+            "assert str(ep.poly) == 't + 26*t^2 + 66*t^3 + 26*t^4 + t^5'")
+    assert "eulercong.poly" not in loaded_after("import eulercong.eulerian")
+    assert loaded_after(code, ("eulercong", "fractions")) == [
+        "eulercong", "eulercong._intpoly", "eulercong.eulerian", "eulercong.poly", "fractions"]
+
+
+# The rational layer, and the one bridge to it: `_intpoly`'s two view
+# builders, the only functions that may import it at run time.
+RATIONAL = {"poly", "ratfunc", "series", "fractions"}
+BRIDGE = {"poly_view", "ratfunc_view"}
+
+
+def rational_imports(tree: ast.AST, bridge: set, allowed: bool = False) -> list[int]:
+    """Lines importing the rational layer outside `bridge` and `if TYPE_CHECKING:`."""
+    lines = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if getattr(node, "module", None) else [
+                alias.name for alias in node.names]
+            if not allowed and any(RATIONAL & set(name.split(".")) for name in names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            lines += rational_imports(ast.Module(node.body, []), bridge, True)
+            lines += rational_imports(ast.Module(node.orelse, []), bridge, allowed)
+            continue
+        inside = isinstance(node, ast.FunctionDef) and node.name in bridge
+        lines += rational_imports(node, bridge, allowed or inside)
+    return lines
+
+
+@pytest.mark.parametrize("module", ["_intpoly", "congruence", "prooftrace", "eulerian", "cli"])
+def test_only_the_bridge_imports_the_rational_layer(module):
+    tree = ast.parse(Path(SRC, "eulercong", f"{module}.py").read_text())
+    assert rational_imports(tree, BRIDGE if module == "_intpoly" else set()) == []
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("def _over(nums, den):\n    from .poly import _over\n", [2]),
+    ("from fractions import Fraction\nimport eulercong.series\n", [1, 2]),
+    ("from . import ratfunc, eulerian\n", [1]),
+    ("if TYPE_CHECKING:\n    from .poly import Poly\nelse:\n    from .poly import Poly\n", [4]),
+    ("def poly_view():\n    from .poly import _over\n", []),
+    ("from . import eulerian\nfrom ._intpoly import poly_view\n", []),
+])
+def test_rational_import_finder(source, lines):
+    assert rational_imports(ast.parse(source), BRIDGE) == lines
 
 
 @pytest.mark.parametrize("module", ["congruence", "prooftrace"])

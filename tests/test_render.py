@@ -25,7 +25,7 @@ def test_fraction_strs_equal_str_of_fraction(nums, den):
 
 
 # The Fraction renderer that `_intpoly.render` replaced, kept verbatim as
-# its oracle: `Poly.render` with its three callable knobs, and the LaTeX
+# its oracle: the former `Poly.render` with its three callable knobs, and the LaTeX
 # coefficient the CLI passed to it.
 def oracle_render(self, scalar=str, power: str = "t^{}", times: str = "*") -> str:
     """Nonzero terms in ascending degree, e.g. 't + 4*t^2 + t^3'.
@@ -86,7 +86,7 @@ def test_render_equals_the_fraction_oracle(case, latex):
     p = Poly([Fraction(c, den) for c in nums])
     expected = oracle_latex(p) if latex else oracle_render(p)
     assert render(nums, den, latex) == expected
-    assert p.render(latex) == expected
+    assert render(p.num, p.den, latex) == expected
     if not latex:
         assert str(p) == expected
 
