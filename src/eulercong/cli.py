@@ -31,11 +31,11 @@ serially with the same bytes. Grid rows are dealt out to the workers in
 turn; each sends its texts down its own pipe as one value, ending at its
 first failure, and the parent raises the first failure in grid order, as
 a serial run does. On SIGINT, or when a worker could not start or died,
-the workers still alive are killed and reaped. Every format of a verify
-pair is written from the report's integer certificate, its numerators
-over one common denominator, by `_intpoly.render` (plain and latex) or
-`_intpoly.fraction_strs` (json), so no `Poly` or `Fraction` is built.
-Those two are also what every `Poly` prints through. `dump_json` is the
+the workers still alive are killed and reaped. No `Poly` or `Fraction`
+is built: `_intpoly.render` writes plain and latex (as every `Poly`
+prints), JSON writes integer results (eulerian rows, trace pairs) with
+`str`, and `_intpoly.fraction_strs` writes only the verify certificate,
+its numerators over one common denominator. `dump_json` is the
 one indented writer of every subcommand and gives the bytes of
 `json.dumps(obj, indent=2)`.
 

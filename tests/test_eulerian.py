@@ -1,5 +1,7 @@
+import importlib.util
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,18 @@ from eulercong.eulerian import (
     worpitzky_row,
 )
 from eulercong.poly import Poly
-from test_golden import checks
+
+
+def _load_checks():
+    # perfbench/ is no package and is not on sys.path, so load the file itself.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("eulerian_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load_checks()
 
 # Frozen from the descent-enumeration oracle (t^(des+1) over S_n).
 KNOWN = {

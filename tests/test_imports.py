@@ -90,11 +90,13 @@ def test_verify_loads_no_prooftrace():
 def test_gf_method_loads_only_the_core():
     # The constructions return integer rows, which the CLI renders as
     # such, so eulerian, by every method and in every format, adds only
-    # `eulerian` to what verify loads: no `poly`, `fractions` or `decimal`.
+    # `eulerian` to what verify loads: no `poly`, `fractions`, `decimal`
+    # or `concurrent.futures`.
     for method in ("gf", "recurrence", "bruteforce"):
         for fmt in ("plain", "latex", "json"):
             code = run_main("eulerian", "--n", "5", "--method", method, "--format", fmt)
-            loaded = loaded_after(code, ("eulercong", "fractions", "decimal", "numbers"))
+            roots = ("eulercong", "concurrent", "fractions", "decimal", "numbers")
+            loaded = loaded_after(code, roots)
             assert loaded == sorted(CORE + ["eulercong.eulerian"]), (method, fmt)
 
 
