@@ -32,6 +32,14 @@ if TYPE_CHECKING:
     from .ratfunc import RatFunc
 
 
+def check_nm(n: int, m: int = 1) -> None:
+    """Refuse n < 0, then m < 1: the congruence's domain, the package's one check of it."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
 def trim(p: list[int]) -> list[int]:
     """Drop trailing zeros of p in place and return it."""
     while p and not p[-1]:
@@ -150,6 +158,7 @@ def kernel(c: int, n: int) -> list[list[int]]:
 
     Divides -1 by t^c e^(cx) - 1, whose x^k/k! coefficient is c^k t^c - [k = 0].
     """
+    check_nm(n, c)
     b = [times_binomial([1], c)] + [[0] * c + [c ** k] for k in range(1, n + 1)]
     return egf_quotient([[-1]] + [[]] * n, b, lambda p: times_binomial(p, c))
 
@@ -165,8 +174,7 @@ def eulerian_row(n: int) -> tuple[int, ...]:
     A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), so the coefficient of
     t^i in A_{k+1} is (k+2-i) a_{i-1} + i a_i.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nm(n)
     while len(_ROWS) <= n:
         k = len(_ROWS) - 1
         a = (0, *_ROWS[k], 0)  # a[i] is the coefficient of t^(i-1)
@@ -176,8 +184,7 @@ def eulerian_row(n: int) -> tuple[int, ...]:
 
 def integer_sides(n: int, m: int) -> tuple[list[int], list[int]]:
     """m^(n+1) A_n(t^m) and G_m^(n+1) A_n(t): both sides over m^(n+1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_nm(n, m)
     a = eulerian_row(n)
     scale = m ** (n + 1)
     lhs = [0] * ((len(a) - 1) * m + 1)

@@ -267,10 +267,6 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
     return r.holds, text
 
 
-class WorkerError(Exception):
-    """A pool worker could not start, raised (its exception's `_reason`) or died."""
-
-
 class ProcessPoolExecutor:
     """The `--parallel` pool: W forked workers, one pipe each, no threads.
 
@@ -279,7 +275,7 @@ class ProcessPoolExecutor:
     its share up to its first exception and sends one `marshal` list down
     its pipe: its `(holds, text)` results, then that exception's `_reason`.
     `map` reads the workers in turn, walks the chunks in task order and
-    raises `WorkerError` at the first reason, the failure a serial run
+    raises `RuntimeError` at the first reason, the failure a serial run
     meets, or if a worker could not be forked or died. `__exit__` kills
     and reaps every worker still alive. A worker ignores Ctrl-C: the
     parent alone handles SIGINT, and `__exit__` then kills the workers.
@@ -315,7 +311,7 @@ class ProcessPoolExecutor:
             except OSError as exc:  # e.g. EAGAIN: out of processes
                 for fd in fds:
                     os.close(fd)
-                raise WorkerError(f"could not start a worker process: {exc}") from None
+                raise RuntimeError(f"could not start a worker process: {exc}") from None
             if pid == 0:  # the worker: its results up to its first failure, then why
                 code, value = 1, []
                 try:
@@ -338,7 +334,7 @@ class ProcessPoolExecutor:
             for _ in chunk:
                 results.append(next(per_worker[c % self.max_workers]))
                 if isinstance(results[-1], str):
-                    raise WorkerError(results[-1])
+                    raise RuntimeError(results[-1])
         return results
 
     def _reap(self, fd: int) -> list:
@@ -347,7 +343,7 @@ class ProcessPoolExecutor:
         code = os.waitstatus_to_exitcode(os.waitpid(self.pids.pop(fd), 0)[1])
         if code or not data:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            raise WorkerError(f"a worker process died ({how})")
+            raise RuntimeError(f"a worker process died ({how})")
         return marshal.loads(data)
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._intpoly import add, divide_by_shift, from_shift_basis, integer_sides, mul, poly_view, trim
+from ._intpoly import (add, check_nm, divide_by_shift, from_shift_basis, integer_sides, mul,
+                       poly_view, trim)
 
 if TYPE_CHECKING:
     from .poly import Poly
@@ -60,6 +61,7 @@ def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> Congru
 
 def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:
     """The certificate for two given sides, over the lcm of their denominators."""
+    check_nm(n, m)
     den = lcm(lhs.den, rhs.den)
     lhs_num, rhs_num = (mul(p.num, [den // p.den]) for p in (lhs, rhs))
     return _certify(n, m, lhs_num, rhs_num, den)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from typing import NamedTuple
 
-from ._intpoly import eulerian_row, kernel, poly_view
+from ._intpoly import check_nm, eulerian_row, kernel, poly_view
 
 BRUTEFORCE_CAP = 9
 
@@ -36,8 +36,7 @@ def eulerian_recurrence(n: int) -> EulerianPoly:
 
 def eulerian_bruteforce(n: int) -> EulerianPoly:
     """Descent enumeration over all n! permutations; the trusted oracle."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nm(n)
     if n > BRUTEFORCE_CAP:
         raise ValueError(f"brute force capped at n <= {BRUTEFORCE_CAP} (got {n})")
     if n == 0:
@@ -56,8 +55,6 @@ def eulerian_from_gf(n: int) -> EulerianPoly:
     from the integer series division `_intpoly.kernel`, so
     A_n = (-1)^(n+1) N_n. It shares no code with the recurrence.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return EulerianPoly(n, tuple((-1) ** (n + 1) * c for c in kernel(1, n)[n]))
 
 

@@ -36,8 +36,8 @@ from functools import partial
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from ._intpoly import (add, cyclotomic, divmod_exact, egf_quotient, integer_sides, kernel,
-                       mul, ratfunc_view, times_binomial, times_geometric, trim)
+from ._intpoly import (add, check_nm, cyclotomic, divmod_exact, egf_quotient, integer_sides,
+                       kernel, mul, ratfunc_view, times_binomial, times_geometric, trim)
 
 if TYPE_CHECKING:
     from .ratfunc import RatFunc
@@ -76,13 +76,6 @@ class TraceReport(NamedTuple):
     def failed_checks(self) -> list[str]:
         """Names of the proof checks that failed, in proof order."""
         return [name for name in CHECKS if not getattr(self, name)]
-
-
-def _check_nm(n: int, m: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be >= 1")
 
 
 # -- integer helpers -------------------------------------------------------
@@ -166,7 +159,7 @@ def diff_rational(n: int, m: int) -> RatFunc:
     Over (1 - t^m)^(n+1) its numerator is m^(n+1) A_n(t^m) - G_m^(n+1) A_n(t),
     the cleared difference of the two sides of the congruence.
     """
-    _check_nm(n, m)
+    check_nm(n, m)  # cyclotomic(m) runs before integer_sides checks
     return ratfunc_view(_diff(n, m, cyclotomic(m)))
 
 
@@ -178,7 +171,6 @@ def _series(n: int, m: int, w_m: list[int], phis: list[list[int]]) -> Pair:
 
 def series_difference_coeff(n: int, m: int) -> RatFunc:
     """EGF coefficient n of m/(1 - t^m e^(mx)) - 1/(1 - t e^x)."""
-    _check_nm(n, m)
     return ratfunc_view(_series(n, m, kernel(m, n)[n], cyclotomic(m)))
 
 
@@ -200,7 +192,7 @@ def ratio_coeff(j: int, m: int, n: int) -> tuple[RatFunc, Optional[int]]:
     that division leaves a remainder). Each call builds all m numerators,
     so a caller that wants every j should call `full_trace`.
     """
-    _check_nm(n, m)
+    check_nm(n, m)
     if not 0 <= j < m:
         raise ValueError("ratio term requires 0 <= j < m")
     numerators = _ratio_numerators(m, n, kernel(m, n))
@@ -225,7 +217,6 @@ def _telescopes(per_j: tuple[RatioTerm, ...], series: Pair, top: list[int]) -> b
 
 def full_trace(n: int, m: int) -> TraceReport:
     """Run every proof step for one (n, m) and record all intermediates."""
-    _check_nm(n, m)
     w, phis, top = kernel(m, n), cyclotomic(m), times_geometric([1], m, n + 1)
     numerators = _ratio_numerators(m, n, w)
     diff, series = _diff(n, m, phis), _series(n, m, w[n], phis)

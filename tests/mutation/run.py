@@ -154,6 +154,18 @@ MUTANTS = [
     (KERNELS, "times_geometric(list(a), m, n + 1)", "times_geometric(list(a), m, n)",
      ("tests/test_congruence.py::test_sides_n1_m2",
       "tests/test_congruence.py::test_sides_n0_m3")),
+    # The domain check lets n = -1 through.
+    (KERNELS, "if n < 0:", "if n < -1:",
+     ("tests/test_eulerian.py::test_negative_n_rejected",
+      "tests/test_prooftrace.py::test_proof_steps_reject_bad_n_m[full_trace--1-2]")),
+    # The domain check lets m = 0 through.
+    (KERNELS, "if m < 1:", "if m < 0:",
+     ("tests/test_prooftrace.py::test_proof_steps_reject_bad_n_m[series_difference_coeff-0-0]",
+      "tests/test_prooftrace.py::test_proof_steps_reject_bad_n_m[verify_congruence-0-0]")),
+    # report_from_sides certifies any two sides, whatever n and m.
+    (CONGRUENCE, "    check_nm(n, m)\n", "",
+     ("tests/test_congruence.py::test_report_from_sides_refuses_n_below_zero",
+      "tests/test_prooftrace.py::test_proof_steps_reject_bad_n_m[report_from_fixed_sides-0-0]")),
     # verify reduces modulo (t-1)^n, not (t-1)^(n+1).
     (CONGRUENCE, "divide_by_shift(difference, n + 1)", "divide_by_shift(difference, n)",
      ("tests/test_congruence.py::test_verify_n1_m2_certificate",

@@ -355,7 +355,7 @@ def test_dead_pool_worker_exits_3(capsys, monkeypatch):
             return False
 
         def map(self, fn, items, chunksize):
-            raise cli.WorkerError("a worker process died")
+            raise RuntimeError("a worker process died")
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
     code, out, err = run(capsys, "verify", "--n-max", "1", "--m-max", "2",

@@ -91,8 +91,15 @@ def test_equivalence_with_rational_difference(n, m):
 
 
 def test_m_zero_rejected():
-    with pytest.raises(ValueError):
+    # The message matters: past the check, integer_sides' lhs[::0] raises a ValueError too.
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
         verify_congruence(1, 0)
+
+
+def test_report_from_sides_refuses_n_below_zero():
+    # Modulo (t-1)^0 = 1 any two sides agree, so n = -1 would certify these.
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        report_from_sides(-1, 2, Poly([1, 2, 3]), Poly([5]))
 
 
 @pytest.mark.parametrize("n", range(11))

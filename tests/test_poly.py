@@ -125,6 +125,27 @@ def test_gcd_rejects_both_zero():
         poly_gcd(Poly(), Poly())
 
 
+# Each call raises the error given, or returns the value given.
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: Poly().leading, ValueError),
+    (lambda: Poly([1, 1]) ** -1, ValueError),
+    (lambda: divmod(Poly([1]), Poly()), ZeroDivisionError),
+    (lambda: Poly().monic(), ValueError),
+    (lambda: exact_div(Poly([1]), Poly([1, 1])), ArithmeticError),
+    (lambda: Poly([1]) + 1, TypeError),
+    (lambda: Poly([1]) - 1, TypeError),
+    (lambda: Poly([1]) * None, TypeError),
+    (lambda: Poly([1]) == 1, False),
+    (lambda: repr(Poly([Fraction(1, 2), 0, 1])), "Poly('1/2 + t^2')"),
+])
+def test_edge_paths(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
+
+
 def test_render():
     assert str(Poly([0, 1, 4, 1])) == "t + 4*t^2 + t^3"
     assert str(Poly()) == "0"

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import trace_oracle
 from eulercong import _intpoly, poly, prooftrace, ratfunc
-from eulercong.congruence import verify_congruence
-from eulercong.eulerian import eulerian_recurrence
+from eulercong.congruence import report_from_sides, verify_congruence
+from eulercong.eulerian import eulerian_bruteforce, eulerian_from_gf, eulerian_recurrence
 from eulercong.poly import Poly, geometric_poly
 from eulercong.prooftrace import (
     diff_rational,
@@ -67,17 +67,31 @@ def test_ratio_coeff_rejects_bad_j():
         ratio_coeff(2, 2, 1)
 
 
+def report_from_fixed_sides(n, m):
+    return report_from_sides(n, m, Poly([1, 2, 3]), Poly([5]))
+
+
+def kernel_m_n(n, m):
+    return _intpoly.kernel(m, n)
+
+
+# The package's entry points of (n, m); each is called as step(n, m).
+ENTRY_POINTS = (verify_congruence, report_from_fixed_sides, full_trace, diff_rational,
+                series_difference_coeff, lambda n, m: ratio_coeff(0, m, n), kernel_m_n,
+                _intpoly.integer_sides)
+
+
+# One domain for every entry point, refused by `_intpoly.check_nm`: n < 0 first, then
+# m < 1, each with its exact message. The Eulerian constructions take n alone (m None).
 @pytest.mark.parametrize("step,n,m", [
-    (full_trace, -1, 2),
-    (full_trace, 0, 0),
+    *[(step, n, m) for step in ENTRY_POINTS for n, m in [(-1, 2), (0, 0), (-1, 0)]],
     (diff_rational, 2, 0),
-    (series_difference_coeff, -1, 2),
-    (series_difference_coeff, 0, 0),
-    (lambda n, m: ratio_coeff(0, m, n), -1, 2),
+    *[(step, -1, None) for step in (eulerian_recurrence, eulerian_bruteforce, eulerian_from_gf)],
 ])
 def test_proof_steps_reject_bad_n_m(step, n, m):
-    with pytest.raises(ValueError):
-        step(n, m)
+    message = "n must be nonnegative" if n < 0 else "m must be >= 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        step(n) if m is None else step(n, m)
 
 
 @pytest.mark.parametrize("n", range(9))

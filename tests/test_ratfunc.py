@@ -50,6 +50,22 @@ def test_zero_denominator_rejected():
         RatFunc(Poly([1]), Poly())
 
 
+# Each call raises the error given, or returns the value given.
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: RatFunc.lift(1), TypeError),
+    (lambda: RatFunc(Poly([1])) == 1, False),
+    (lambda: bool(RF_ZERO), False),
+    (lambda: bool(RatFunc(Poly([0, 1]))), True),
+    (lambda: repr(RatFunc(Poly([1]), Poly([1, 1]))), "RatFunc('(1)/(1 + t)')"),
+])
+def test_edge_paths(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
+
+
 def test_add_cancels():
     a = RatFunc(Poly([1]), Poly([1, -1]).monic())
     assert a + (-a) == RF_ZERO

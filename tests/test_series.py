@@ -68,6 +68,22 @@ def test_order_mismatch_rejected():
         series(1, 0) + series(1, 0, 0)
 
 
+# Each call raises the error given, or returns the value given.
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: TruncatedSeries([]), ValueError),
+    (lambda: scaled_exp(const(1), 2, -1), ValueError),
+    (lambda: geometric_exp_sum(0, 4), ValueError),
+    (lambda: series(1) == 1, False),
+    (lambda: repr(series(1)), "TruncatedSeries([RatFunc('1')])"),
+])
+def test_edge_paths(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
+
+
 def test_egf_coeff():
     e = scaled_exp(const(1), 1, 4)
     assert e.egf_coeff(3) == const(1)
