@@ -163,9 +163,9 @@ def kernel(c: int, n: int) -> list[list[int]]:
     return egf_quotient([[-1]] + [[]] * n, b, lambda p: times_binomial(p, c))
 
 
-# Rows of A_n as integer coefficient tuples, ascending; row n is A_n.
-# Extended on demand and never changed, so each row is built once per process.
-_ROWS: list[tuple[int, ...]] = [(1,)]
+# The last row built, (k, A_k). A call for n >= k extends it and one for n < k
+# starts again from A_0, so rows asked for in ascending order are built once.
+_ROW: tuple[int, tuple[int, ...]] = (0, (1,))
 
 
 def eulerian_row(n: int) -> tuple[int, ...]:
@@ -174,12 +174,14 @@ def eulerian_row(n: int) -> tuple[int, ...]:
     A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), so the coefficient of
     t^i in A_{k+1} is (k+2-i) a_{i-1} + i a_i.
     """
+    global _ROW
     check_nm(n)
-    while len(_ROWS) <= n:
-        k = len(_ROWS) - 1
-        a = (0, *_ROWS[k], 0)  # a[i] is the coefficient of t^(i-1)
-        _ROWS.append(tuple((k + 2 - i) * a[i] + i * a[i + 1] for i in range(k + 2)))
-    return _ROWS[n]
+    k, row = _ROW if _ROW[0] <= n else (0, (1,))
+    for k in range(k, n):
+        a = (0, *row, 0)  # a[i] is the coefficient of t^(i-1)
+        row = tuple((k + 2 - i) * a[i] + i * a[i + 1] for i in range(k + 2))
+    _ROW = n, row
+    return row
 
 
 def integer_sides(n: int, m: int) -> tuple[list[int], list[int]]:

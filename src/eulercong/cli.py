@@ -25,19 +25,20 @@ host program or a test keeps the normal teardown.
 
 verify renders each pair where it is computed and keeps only its text,
 which it writes at the end in pieces of about 256 kB, so it holds the
-output about once. `--parallel W` forks min(W, grid rows, CPUs) workers,
-where `os.fork` exists and that number is at least 2, and otherwise runs
-serially with the same bytes. Grid rows are dealt out to the workers in
-turn; each sends its texts down its own pipe as one value, ending at its
-first failure, and the parent raises the first failure in grid order, as
-a serial run does. On SIGINT, or when a worker could not start or died,
-the workers still alive are killed and reaped. No `Poly` or `Fraction`
-is built: `_intpoly.render` writes plain and latex (as every `Poly`
-prints), JSON writes integer results (eulerian rows, trace pairs) with
-`str`, and `_intpoly.fraction_strs` writes only the verify certificate,
-its numerators over one common denominator. `dump_json` is the
-one indented writer of every subcommand and gives the bytes of
-`json.dumps(obj, indent=2)`.
+output about once. `--parallel W` forks min(W, grid rows, CPUs) - 1
+workers where `os.fork` exists and that is at least 1, and otherwise runs
+serially with the same bytes. Grid rows are dealt out in turn, and the
+parent renders the first share itself; each worker sends its texts down
+its own pipe as one value, ending at its first failure, and the parent
+raises the first failure in grid order, as a serial run does. Workers
+ignore SIGINT and the parent does not: on Ctrl-C, or when a worker could
+not start or died, the workers still alive are killed and reaped. No
+`Poly` or `Fraction` is built: `_intpoly.render` writes plain and latex
+(as every `Poly` prints), JSON writes integer results (eulerian rows,
+trace pairs) with `str`, and `_intpoly.fraction_strs` writes only the
+verify certificate, its numerators over one common denominator.
+`dump_json` is the one indented writer of every subcommand and gives the
+bytes of `json.dumps(obj, indent=2)`.
 
 Each subcommand imports only what it runs: `verify` (also with
 `--parallel`) loads `cli`, `congruence` and `_intpoly`, `eulerian`
@@ -267,20 +268,32 @@ def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
     return r.holds, text
 
 
+def _run(fn, share: list) -> list:
+    """`fn` of each task in `share` up to its first exception, then its `_reason`."""
+    results = []
+    try:
+        for task in share:
+            results.append(fn(task))
+    except Exception as exc:  # not KeyboardInterrupt: Ctrl-C still ends the run
+        results.append(_reason(exc))
+    return results
+
+
 class ProcessPoolExecutor:
-    """The `--parallel` pool: W forked workers, one pipe each, no threads.
+    """The `--parallel` pool: the parent and W - 1 forked workers, one pipe each.
 
     W is `max_workers`, which the caller keeps to at most the number of
-    chunks. Chunk c of `map`'s tasks goes to worker c % W, which renders
-    its share up to its first exception and sends one `marshal` list down
-    its pipe: its `(holds, text)` results, then that exception's `_reason`.
+    chunks. Chunk c of `map`'s tasks goes to share c % W. The parent forks
+    a worker for each share but the first, which it runs itself. A worker
+    sends its share's `_run` list down its pipe as one `marshal` value.
     `map` reads the workers in turn, walks the chunks in task order and
     raises `RuntimeError` at the first reason, the failure a serial run
     meets, or if a worker could not be forked or died. `__exit__` kills
-    and reaps every worker still alive. A worker ignores Ctrl-C: the
-    parent alone handles SIGINT, and `__exit__` then kills the workers.
-    The name and `map`'s signature are `concurrent.futures`', which
-    tests' fakes and the benchmark's tracer put in this class's place.
+    and reaps every worker still alive. A worker ignores Ctrl-C and the
+    parent does not: its `KeyboardInterrupt` leaves `map`, and `__exit__`
+    then kills the workers. The name and `map`'s signature are
+    `concurrent.futures`', which tests' fakes and the benchmark's tracer
+    put in this class's place.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -302,8 +315,9 @@ class ProcessPoolExecutor:
         import signal
 
         chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-        for w in range(self.max_workers):
-            share = [x for chunk in chunks[w::self.max_workers] for x in chunk]
+        shares = [[x for chunk in chunks[w::self.max_workers] for x in chunk]
+                  for w in range(self.max_workers)]
+        for share in shares[1:]:
             fds = ()
             try:
                 fds = read_end, write_end = os.pipe()
@@ -312,23 +326,19 @@ class ProcessPoolExecutor:
                 for fd in fds:
                     os.close(fd)
                 raise RuntimeError(f"could not start a worker process: {exc}") from None
-            if pid == 0:  # the worker: its results up to its first failure, then why
-                code, value = 1, []
+            if pid == 0:  # the worker
+                code = 1
                 try:
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    try:
-                        for task in share:
-                            value.append(fn(task))
-                    except Exception as exc:
-                        value.append(_reason(exc))
                     with open(write_end, "wb") as out:
-                        marshal.dump(value, out)
+                        marshal.dump(_run(fn, share), out)
                     code = 0
                 finally:
                     os._exit(code)  # no stdio flush, atexit or teardown of the caller
             os.close(write_end)
             self.pids[read_end] = pid
-        per_worker = [iter(self._reap(fd)) for fd in list(self.pids)]
+        own = _run(fn, shares[0])  # while the workers run theirs
+        per_worker = [iter(own)] + [iter(self._reap(fd)) for fd in list(self.pids)]
         results = []
         for c, chunk in enumerate(chunks):  # task order: the serial run's failure first
             for _ in chunk:

@@ -102,6 +102,18 @@ MUTANTS = [
     # A worker keeps SIGINT.
     (CLI, "signal.signal(signal.SIGINT, signal.SIG_IGN)", "signal.getsignal(signal.SIGINT)",
      ("tests/test_cli.py::test_pool_workers_ignore_sigint",)),
+    # The parent forks a worker for its own share too.
+    (CLI, "for share in shares[1:]:", "for share in shares:",
+     ("tests/test_cli.py::test_parallel_w_forks_w_minus_one_workers",)),
+    # The parent's own results leave the walk.
+    (CLI, "per_worker = [iter(own)] + [", "per_worker = [",
+     ("tests/test_cli.py::test_real_pool_output_is_serial_bytes[plain]",
+      "tests/test_cli.py::test_parallel_w_forks_w_minus_one_workers")),
+    # Ctrl-C during the parent's own share becomes a failed pair.
+    (CLI, "except Exception as exc:  # not KeyboardInterrupt",
+     "except BaseException as exc:  # not KeyboardInterrupt",
+     ("tests/test_cli.py::test_interrupt_in_the_parents_own_share_exits_130",
+      "tests/test_cli.py::test_sigint_to_parallel_verify_exits_130_and_leaves_no_process")),
     # The CLI refuses brute force at its cap, n = 9.
     (CLI, "args.n > eulerian.BRUTEFORCE_CAP", "args.n >= eulerian.BRUTEFORCE_CAP",
      ("tests/test_cli.py::test_bruteforce_runs_at_its_cap",)),
@@ -111,6 +123,9 @@ MUTANTS = [
     # The whole output is joined at once.
     (CLI, "if size >= 1 << 18 or i == len(texts):", "if i == len(texts):",
      ("tests/test_cli.py::test_verify_holds_its_output_about_once[serial]",)),
+    # A row below the last one built is read from the last one, not rebuilt.
+    (KERNELS, "_ROW if _ROW[0] <= n else (0, (1,))", "_ROW",
+     ("tests/test_eulerian.py::test_row_cache_keeps_the_last_row_alone",)),
     # The binomial re-expansion drops its sign.
     (KERNELS, "(-1) ** (i - j) * comb(i, j)", "comb(i, j)",
      ("tests/test_intpoly.py::test_shifted_basis_reconstructs",

@@ -438,7 +438,7 @@ def deadline():
 ])
 def test_grid_failing_part_way_writes_nothing(capsys, monkeypatch, deadline, argv, pool):
     # Pairs before (2, 1) are already rendered when it fails; none is written.
-    # With the real pool, (2, 1) fails inside a forked worker.
+    # With the real pool, (2, 1) fails in the parent's own share, rows 0 and 2.
     verify = congruence.verify_congruence
 
     def fail_at_2_1(n, m):
@@ -458,18 +458,17 @@ def test_grid_failing_part_way_writes_nothing(capsys, monkeypatch, deadline, arg
 
 
 def test_worker_killed_by_signal_exits_3_and_leaves_no_child(capsys, monkeypatch, deadline):
-    # The worker of the even rows kills itself at its first pair, while
-    # the other still has odd rows to run: that one is killed and reaped
-    # on the way out.
+    # The forked worker of the odd rows kills itself at its first pair,
+    # while the parent still has even rows to run; the parent then reaps it.
     parent = os.getpid()
     verify = congruence.verify_congruence
 
-    def killed_at_0_1(n, m):
-        if (n, m) == (0, 1) and os.getpid() != parent:
+    def killed_at_1_1(n, m):
+        if (n, m) == (1, 1) and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return verify(n, m)
 
-    monkeypatch.setattr(cli, "verify_congruence", killed_at_0_1)
+    monkeypatch.setattr(cli, "verify_congruence", killed_at_1_1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, err = run(capsys, "verify", "--n-max", "20", "--m-max", "12",
                          "--parallel", "2")
@@ -481,13 +480,14 @@ def test_worker_killed_by_signal_exits_3_and_leaves_no_child(capsys, monkeypatch
 
 
 def test_worker_still_running_when_another_dies_is_killed(capsys, monkeypatch, deadline):
-    # Row 0's worker kills itself while row 1's sleeps at its pair: the
+    # The parent renders row 0 and forks a worker each for rows 1 and 2.
+    # Row 1's worker kills itself while row 2's sleeps at its pair: the
     # parent kills the sleeper on the way out, rather than wait for it.
     parent, verify = os.getpid(), congruence.verify_congruence
 
-    def killed_at_0_1_asleep_at_1_1(n, m):
+    def killed_at_1_1_asleep_at_2_1(n, m):
         if os.getpid() != parent:
-            if (n, m) == (0, 1):
+            if (n, m) == (1, 1):
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(5)
         return verify(n, m)
@@ -499,20 +499,20 @@ def test_worker_still_running_when_another_dies_is_killed(capsys, monkeypatch, d
         codes.append(os.waitstatus_to_exitcode(reaped[1]))
         return reaped
 
-    monkeypatch.setattr(cli, "verify_congruence", killed_at_0_1_asleep_at_1_1)
+    monkeypatch.setattr(cli, "verify_congruence", killed_at_1_1_asleep_at_2_1)
     monkeypatch.setattr(os, "waitpid", waitpid)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "1", "--parallel", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, out, _ = run(capsys, "verify", "--n-max", "2", "--m-max", "1", "--parallel", "3")
     assert (code, out) == (3, "")
     assert codes == [-signal.SIGKILL, -signal.SIGKILL]
     assert_no_child()
 
 
 def test_parallel_failure_is_the_serial_one(capsys, monkeypatch, deadline):
-    # Rows 2 and 3 both fail, in different workers. The worker of the even
-    # rows is slowed at (0, 1), so (3, 1) fails first in time; the run
-    # still reports (2, 1), the first failing pair in grid order, as a
-    # serial run does.
+    # Rows 2 and 3 both fail, in different processes. The parent, which
+    # renders the even rows, is slowed at (0, 1), so (3, 1) fails first in
+    # time; the run still reports (2, 1), the first failing pair in grid
+    # order, as a serial run does.
     verify = congruence.verify_congruence
 
     def slow_at_0_1_failing_at_2_1_and_3_1(n, m):
@@ -619,6 +619,24 @@ def test_pool_workers_ignore_sigint(capsys, monkeypatch, deadline):
     assert_no_child()
 
 
+def test_interrupt_in_the_parents_own_share_exits_130(capsys, monkeypatch, deadline):
+    # Ctrl-C while the parent renders its own share is not a failed pair:
+    # the run exits 130, and the worker is killed and reaped.
+    parent, verify = os.getpid(), congruence.verify_congruence
+
+    def interrupted_in_parent_at_2_1(n, m):
+        if (n, m) == (2, 1) and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return verify(n, m)
+
+    monkeypatch.setattr(cli, "verify_congruence", interrupted_in_parent_at_2_1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "3",
+                         "--parallel", "2")
+    assert (code, out, err) == (130, "", "eulercong: interrupted\n")
+    assert_no_child()
+
+
 def test_failed_fork_exits_3_and_leaves_no_child(capsys, monkeypatch, deadline):
     # The second fork fails as it does when the system is out of processes
     # (EAGAIN): the first worker is killed and reaped, and no pipe end leaks.
@@ -634,9 +652,9 @@ def test_failed_fork_exits_3_and_leaves_no_child(capsys, monkeypatch, deadline):
     for fd in free:
         os.close(fd)
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "3",
-                         "--parallel", "2")
+                         "--parallel", "3")
     assert code == 3
     assert out == ""
     assert err == ("eulercong: internal error: could not start a worker process: "
@@ -648,8 +666,56 @@ def test_failed_fork_exits_3_and_leaves_no_child(capsys, monkeypatch, deadline):
         os.close(fd)
 
 
-# 21 rows go to two workers (11/10) or three (7/7/7); 20 rows to three
-# (7/7/6), where the worker count does not divide the rows.
+def test_failure_in_a_forked_worker_is_the_serial_one(capsys, monkeypatch, deadline):
+    # (1, 2) fails in the worker of the odd rows; the parent's rows all hold.
+    verify = congruence.verify_congruence
+
+    def fail_at_1_2(n, m):
+        if (n, m) == (1, 2):
+            raise ValueError("bad pair (1, 2)")
+        return verify(n, m)
+
+    monkeypatch.setattr(cli, "verify_congruence", fail_at_1_2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "--n-max", "3", "--m-max", "3"]
+    expected = (3, "", "eulercong: internal error: bad pair (1, 2)\n")
+    assert run(capsys, *argv, "--parallel", "2") == expected
+    assert run(capsys, *argv) == expected
+    assert_no_child()
+
+
+@pytest.mark.parametrize("workers,forks,own_rows", [(2, 1, [0, 2]), (3, 2, [0, 3])])
+def test_parallel_w_forks_w_minus_one_workers(capsys, monkeypatch, deadline, workers, forks,
+                                              own_rows):
+    # The parent is one of the W processes: it forks W - 1 workers and
+    # renders the first share, rows 0, W, 2W, ..., itself.
+    real_fork, forked, parent, verify = os.fork, [], os.getpid(), congruence.verify_congruence
+    in_parent = []
+
+    def counted_fork():
+        forked.append(1)
+        return real_fork()
+
+    def recording_verify(n, m):
+        if os.getpid() == parent:
+            in_parent.append((n, m))
+        return verify(n, m)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "verify_congruence", recording_verify)
+    argv = ["verify", "--n-max", "3", "--m-max", "3"]
+    code, out, err = run(capsys, *argv, "--parallel", str(workers))
+    assert (code, err) == (0, "")
+    assert len(forked) == forks
+    assert (0, 1) in in_parent
+    assert in_parent == [(n, m) for n in own_rows for m in (1, 2, 3)]
+    assert_no_child()
+
+
+# 21 rows go to two processes (11/10) or three (7/7/7); 20 rows to three
+# (7/7/6), where the process count does not divide the rows. The parent
+# renders the first share, and a forked worker each of the others.
 @pytest.mark.parametrize("fmt,workers,n_max", [
     pytest.param(fmt, 2, 20, id=fmt) for fmt in ("plain", "latex", "json")
 ] + [
@@ -736,10 +802,11 @@ def cli_env() -> dict:
 
 
 def test_sigint_to_parallel_verify_exits_130_and_leaves_no_process():
-    # The CLI runs in its own session, so SIGINT goes to it and its two
-    # pool workers, as Ctrl-C in a terminal does. A process started with
-    # SIGINT ignored keeps ignoring it, so the entry restores the default
-    # handler first: this test may itself run with SIGINT ignored.
+    # The CLI runs in its own session, so SIGINT goes to it and its pool
+    # worker, as Ctrl-C in a terminal does; the parent is interrupted in
+    # its own share of the grid. A process started with SIGINT ignored
+    # keeps ignoring it, so the entry restores the default handler first:
+    # this test may itself run with SIGINT ignored.
     entry = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler)\n"
              "from eulercong.cli import main; sys.exit(main())")
     proc = subprocess.Popen(

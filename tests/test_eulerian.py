@@ -159,3 +159,15 @@ def test_negative_n_rejected():
     for n, K in ((-1, 3), (2, -1)):
         with pytest.raises(ValueError):
             worpitzky_row(n, K)
+
+
+def test_row_cache_keeps_the_last_row_alone():
+    # A process that asked for A_300 and then A_5 holds A_5 only, not every
+    # row up to 300; asking for A_300 again builds it from A_0.
+    from eulercong import _intpoly
+
+    big = eulerian_row(300)
+    assert eulerian_row(5) == (0, 1, 26, 66, 26, 1)
+    assert _intpoly._ROW == (5, (0, 1, 26, 66, 26, 1))
+    assert eulerian_row(300) == big
+    assert _intpoly._ROW == (300, big)
