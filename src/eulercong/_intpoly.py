@@ -22,6 +22,7 @@ and `RatFunc` views of integer results, and import those layers on call.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, zip_longest
 from math import comb, gcd
 from operator import sub
@@ -163,24 +164,19 @@ def kernel(c: int, n: int) -> list[list[int]]:
     return egf_quotient([[-1]] + [[]] * n, b, lambda p: times_binomial(p, c))
 
 
-# The last row built, (k, A_k). A call for n >= k extends it and one for n < k
-# starts again from A_0, so rows asked for in ascending order are built once.
-_ROW: tuple[int, tuple[int, ...]] = (0, (1,))
-
-
+@lru_cache(maxsize=1)
 def eulerian_row(n: int) -> tuple[int, ...]:
     """Integer coefficients of A_n(t), ascending, by the derivative recurrence.
 
     A_{k+1}(t) = (k+1) t A_k(t) + t (1-t) A_k'(t), so the coefficient of
-    t^i in A_{k+1} is (k+2-i) a_{i-1} + i a_i.
+    t^i in A_{k+1} is (k+2-i) a_{i-1} + i a_i. The last row built is kept,
+    so the pairs (n, m) of one verify grid row build A_n once.
     """
-    global _ROW
     check_nm(n)
-    k, row = _ROW if _ROW[0] <= n else (0, (1,))
-    for k in range(k, n):
+    row = (1,)
+    for k in range(n):
         a = (0, *row, 0)  # a[i] is the coefficient of t^(i-1)
         row = tuple((k + 2 - i) * a[i] + i * a[i + 1] for i in range(k + 2))
-    _ROW = n, row
     return row
 
 

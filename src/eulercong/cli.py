@@ -23,20 +23,20 @@ atexit handler still runs, stdout and stderr are still flushed, and the
 process exits with the code `main` returned. A call `main([...])` from a
 host program or a test keeps the normal teardown.
 
-verify renders each pair where it is computed and keeps only its text,
-which it writes at the end in pieces of about 256 kB, so it holds the
-output about once. `--parallel W` forks min(W, grid rows, CPUs) - 1
-workers where `os.fork` exists and that is at least 1, and otherwise runs
-serially with the same bytes. Grid rows are dealt out in turn, and the
-parent renders the first share itself; each worker sends its texts down
-its own pipe as one value, ending at its first failure, and the parent
-raises the first failure in grid order, as a serial run does. Workers
-ignore SIGINT and the parent does not: on Ctrl-C, or when a worker could
-not start or died, the workers still alive are killed and reaped. No
-`Poly` or `Fraction` is built: `_intpoly.render` writes plain and latex
-(as every `Poly` prints), JSON writes integer results (eulerian rows,
-trace pairs) with `str`, and `_intpoly.fraction_strs` writes only the
-verify certificate, its numerators over one common denominator.
+verify works one grid row at a time: `_render_row` verifies a row's pairs
+in m order and keeps only their text, written at the end in pieces of
+about 256 kB, so the output is held about once. `--parallel W` forks
+min(W, grid rows, CPUs) - 1 workers where `os.fork` exists and that is at
+least 1, and otherwise runs serially with the same bytes. Rows are dealt
+in turn, and the parent renders the first share itself; each worker sends
+its texts down its own pipe as one value, ending at its first failure, and
+the parent raises the first failure in grid order, as a serial run does.
+Workers ignore SIGINT and the parent does not: on Ctrl-C, or when a
+worker could not start or died, the workers still alive are killed and
+reaped. No `Poly` or `Fraction` is built: `_intpoly.render` writes plain
+and latex (as every `Poly` prints), JSON writes integer results (eulerian
+rows, trace pairs) with `str`, and `_intpoly.fraction_strs` writes only
+the verify certificate, its numerators over one common denominator.
 `dump_json` is the one indented writer of every subcommand and gives the
 bytes of `json.dumps(obj, indent=2)`.
 
@@ -227,15 +227,15 @@ def _cmd_verify(args, parser) -> int:
     ns, ms = _verify_grid(args, parser)
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
-    tasks = [(n, m, args.format) for n in ns for m in ms]
-    workers = min(args.parallel, len(ns), os.cpu_count() or 1)
+    rows = [(n, ms, args.format) for n in ns]
+    workers = min(args.parallel, len(rows), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_render_pair, tasks, chunksize=len(ms)))
+            rendered = list(pool.map(_render_row, rows))
     else:
-        results = [_render_pair(task) for task in tasks]
+        rendered = list(map(_render_row, rows))
 
-    holds, texts = zip(*results)
+    holds, texts = zip(*(pair for row in rendered for pair in row))
     sep, head, tail = (",\n", "[\n", "\n]\n") if args.format == "json" else ("\n", "", "\n")
     start = size = 0
     for i, text in enumerate(texts, 1):  # joined in pieces of about 256 kB
@@ -246,26 +246,28 @@ def _cmd_verify(args, parser) -> int:
     return 0 if all(holds) else 1
 
 
-def _render_pair(task: tuple[int, int, str]) -> tuple[bool, str]:
-    """Verify one (n, m) pair and render its output in format `fmt`.
+def _render_row(task: tuple[int, range, str]) -> list[tuple[bool, str]]:
+    """Verify the pairs (n, m) of one grid row in m order and render each in format `fmt`.
 
-    The report is dropped here, so a grid holds only its output text and
-    a pool worker sends back a string, not a certificate. A JSON pair is
+    Each report is dropped here, so a grid holds only its output text and
+    a pool worker sends back strings, not certificates. A JSON pair is
     rendered as an element of the grid's array.
     """
-    n, m, fmt = task
-    r = verify_congruence(n, m)
-    if fmt == "json":
-        text = "  " + dump_json(report_json(r), "\n  ")
-    elif fmt == "latex":
-        status = "\\checkmark" if r.holds else "\\times"
-        rhs = render(r.rhs_num, r.den, latex=True)
-        text = (f"A_{{{r.n}}}(t^{{{r.m}}}) \\equiv {rhs}"
-                f" \\pmod{{(t-1)^{{{r.n + 1}}}}} \\quad {status}")
-    else:
-        text = (f"n={r.n} m={r.m} holds={str(r.holds).lower()} "
-                f"remainder={render(r.remainder_num, r.den)}")
-    return r.holds, text
+    n, ms, fmt = task
+    row = []
+    for m in ms:
+        r = verify_congruence(n, m)
+        if fmt == "json":
+            text = "  " + dump_json(report_json(r), "\n  ")
+        elif fmt == "latex":
+            status = "\\checkmark" if r.holds else "\\times"
+            text = (f"A_{{{n}}}(t^{{{m}}}) \\equiv {render(r.rhs_num, r.den, latex=True)}"
+                    f" \\pmod{{(t-1)^{{{n + 1}}}}} \\quad {status}")
+        else:
+            text = (f"n={n} m={m} holds={str(r.holds).lower()} "
+                    f"remainder={render(r.remainder_num, r.den)}")
+        row.append((r.holds, text))
+    return row
 
 
 def _run(fn, share: list) -> list:
@@ -282,16 +284,16 @@ def _run(fn, share: list) -> list:
 class ProcessPoolExecutor:
     """The `--parallel` pool: the parent and W - 1 forked workers, one pipe each.
 
-    W is `max_workers`, which the caller keeps to at most the number of
-    chunks. Chunk c of `map`'s tasks goes to share c % W. The parent forks
-    a worker for each share but the first, which it runs itself. A worker
-    sends its share's `_run` list down its pipe as one `marshal` value.
-    `map` reads the workers in turn, walks the chunks in task order and
-    raises `RuntimeError` at the first reason, the failure a serial run
-    meets, or if a worker could not be forked or died. `__exit__` kills
-    and reaps every worker still alive. A worker ignores Ctrl-C and the
-    parent does not: its `KeyboardInterrupt` leaves `map`, and `__exit__`
-    then kills the workers. The name and `map`'s signature are
+    W is `max_workers`, at most the number of items, and item i of `map`
+    goes to share i % W: there is no chunk size. The parent forks a worker
+    for each share but the first, which it runs itself. A worker sends its
+    share's `_run` list down its pipe as one `marshal` value. `map` reads
+    the workers in turn, walks the items in order and raises `RuntimeError`
+    at the first reason, the failure a serial run meets, or if a worker
+    could not be forked or died. A pid leaves `pids` once reaped, so
+    `__exit__` kills and reaps every worker still alive. A worker ignores
+    Ctrl-C and the parent does not: its `KeyboardInterrupt` leaves `map`,
+    and `__exit__` then kills the workers. The name and `map`'s signature are
     `concurrent.futures`', which tests' fakes and the benchmark's tracer
     put in this class's place.
     """
@@ -308,15 +310,12 @@ class ProcessPoolExecutor:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
             os.close(fd)
-        self.pids.clear()
         return False
 
-    def map(self, fn, items: list, chunksize: int) -> list[tuple[bool, str]]:
+    def map(self, fn, items: list) -> list:
         import signal
 
-        chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-        shares = [[x for chunk in chunks[w::self.max_workers] for x in chunk]
-                  for w in range(self.max_workers)]
+        shares = [items[w::self.max_workers] for w in range(self.max_workers)]
         for share in shares[1:]:
             fds = ()
             try:
@@ -340,17 +339,17 @@ class ProcessPoolExecutor:
         own = _run(fn, shares[0])  # while the workers run theirs
         per_worker = [iter(own)] + [iter(self._reap(fd)) for fd in list(self.pids)]
         results = []
-        for c, chunk in enumerate(chunks):  # task order: the serial run's failure first
-            for _ in chunk:
-                results.append(next(per_worker[c % self.max_workers]))
-                if isinstance(results[-1], str):
-                    raise RuntimeError(results[-1])
+        for i in range(len(items)):  # item order: the serial run's failure first
+            results.append(next(per_worker[i % self.max_workers]))
+            if isinstance(results[-1], str):
+                raise RuntimeError(results[-1])
         return results
 
     def _reap(self, fd: int) -> list:
         data = open(fd, "rb", buffering=0, closefd=False).read()  # written once done
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pids[fd], 0)[1])
+        self.pids.pop(fd)  # only now: a Ctrl-C in waitpid leaves the worker to __exit__
         os.close(fd)
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pids.pop(fd), 0)[1])
         if code or not data:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             raise RuntimeError(f"a worker process died ({how})")

@@ -83,12 +83,16 @@ MUTANTS = [
     (TRACE, "divmod_exact(times_geometric([1], m, k), den)", "divmod_exact(top, den)",
      ("tests/test_prooftrace.py::test_divisor_exponent_is_confirmed_by_its_own_power",)),
     # The pool is not capped by the CPUs.
-    (CLI, "workers = min(args.parallel, len(ns), os.cpu_count() or 1)",
-     "workers = min(args.parallel, len(ns))",
+    (CLI, "workers = min(args.parallel, len(rows), os.cpu_count() or 1)",
+     "workers = min(args.parallel, len(rows))",
      ("tests/test_cli.py::test_parallel_workers_bounded",)),
-    # A pool task is a grid column, not a grid row.
-    (CLI, "chunksize=len(ms)", "chunksize=len(ns)",
-     ("tests/test_cli.py::test_parallel_workers_bounded",)),
+    # The walk reads each item from the next share, not its own.
+    (CLI, "next(per_worker[i % self.max_workers])", "next(per_worker[(i + 1) % self.max_workers])",
+     ("tests/test_cli.py::test_real_pool_output_is_serial_bytes[plain]",)),
+    # _reap drops the pid before waitpid, so a Ctrl-C there leaves the worker unreaped.
+    (CLI, "os.waitpid(self.pids[fd], 0)[1])\n        self.pids.pop(fd)",
+     "os.waitpid(self.pids.pop(fd), 0)[1])\n",
+     ("tests/test_cli.py::test_interrupt_while_reaping_a_worker_leaves_no_child",)),
     # The package's own usage errors print the top-level usage.
     (CLI, "p.set_defaults(run=run, parser=p)", "p.set_defaults(run=run, parser=parser)",
      ("tests/test_cli.py::test_subcommand_usage_keeps_option_order",)),
@@ -123,9 +127,13 @@ MUTANTS = [
     # The whole output is joined at once.
     (CLI, "if size >= 1 << 18 or i == len(texts):", "if i == len(texts):",
      ("tests/test_cli.py::test_verify_holds_its_output_about_once[serial]",)),
-    # A row below the last one built is read from the last one, not rebuilt.
-    (KERNELS, "_ROW if _ROW[0] <= n else (0, (1,))", "_ROW",
+    # The row cache keeps every row built, not the last one alone.
+    (KERNELS, "@lru_cache(maxsize=1)", "@lru_cache(maxsize=None)",
      ("tests/test_eulerian.py::test_row_cache_keeps_the_last_row_alone",)),
+    # No row is kept: every pair of a grid row builds A_n again.
+    (KERNELS, "@lru_cache(maxsize=1)\n", "",
+     ("tests/test_cli.py::test_each_grid_row_builds_its_eulerian_row_once[serial]",
+      "tests/test_eulerian.py::test_row_cache_keeps_the_last_row_alone")),
     # The binomial re-expansion drops its sign.
     (KERNELS, "(-1) ** (i - j) * comb(i, j)", "comb(i, j)",
      ("tests/test_intpoly.py::test_shifted_basis_reconstructs",

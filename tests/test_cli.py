@@ -271,7 +271,7 @@ def test_trace_at_caps_accepted(capsys):
 def test_parallel_workers_bounded(capsys, monkeypatch):
     # A fake pool records its size and runs the grid serially: no fork.
     sizes = []
-    chunksizes = []
+    dealt = []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -283,8 +283,8 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            chunksizes.append(chunksize)
+        def map(self, fn, items):
+            dealt.append(items)
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
@@ -293,7 +293,7 @@ def test_parallel_workers_bounded(capsys, monkeypatch):
                        "--format", "json", "--parallel", "100000")
     assert code == 0
     assert sizes == [2]  # the grid has two rows
-    assert chunksizes == [3]  # one grid row of three pairs per task
+    assert dealt == [[(0, range(1, 4), "json"), (1, range(1, 4), "json")]]  # whole rows
     code, seq, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "3",
                        "--format", "json")
     assert par == seq
@@ -354,7 +354,7 @@ def test_dead_pool_worker_exits_3(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
+        def map(self, fn, items):
             raise RuntimeError("a worker process died")
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
@@ -377,12 +377,12 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize):
+    def map(self, fn, items):
         return map(fn, items)
 
 
 class InterruptedPool(InlinePool):
-    def map(self, fn, items, chunksize):
+    def map(self, fn, items):
         raise KeyboardInterrupt
 
 
@@ -505,6 +505,26 @@ def test_worker_still_running_when_another_dies_is_killed(capsys, monkeypatch, d
     code, out, _ = run(capsys, "verify", "--n-max", "2", "--m-max", "1", "--parallel", "3")
     assert (code, out) == (3, "")
     assert codes == [-signal.SIGKILL, -signal.SIGKILL]
+    assert_no_child()
+
+
+def test_interrupt_while_reaping_a_worker_leaves_no_child(capsys, monkeypatch, deadline):
+    # Ctrl-C lands in the parent's first waitpid, as it waits for the worker
+    # of the odd rows: the worker is still the pool's, so __exit__ kills and
+    # reaps it.
+    real_waitpid, calls = os.waitpid, []
+
+    def interrupted_once(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted_once)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "1", "--parallel", "2")
+    assert (code, out, err) == (130, "", "eulercong: interrupted\n")
+    assert calls[1] == calls[0]  # __exit__ reaps the worker the first call missed
     assert_no_child()
 
 
@@ -730,6 +750,33 @@ def test_real_pool_output_is_serial_bytes(capsys, monkeypatch, deadline, fmt, wo
     assert run(capsys, *argv, "--parallel", str(workers)) == serial
     assert serial[0] == 0
     assert_no_child()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+def test_concurrent_futures_pool_writes_serial_bytes(capsys, monkeypatch, deadline, fmt):
+    # The benchmark's tracer puts a subclass of concurrent.futures' pool in
+    # this pool's place, so `map(fn, items)` must be all that verify asks.
+    from concurrent.futures import ProcessPoolExecutor
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["verify", "--n-max", "6", "--m-max", "5", "--format", fmt]
+    serial = run(capsys, *argv)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ProcessPoolExecutor)
+    assert run(capsys, *argv, "--parallel", "2") == serial
+    assert serial[0] == 0
+    assert_no_child()
+
+
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]], ids=["serial", "inline-pool"])
+def test_each_grid_row_builds_its_eulerian_row_once(capsys, monkeypatch, parallel):
+    # The 14x10 grid has 15 rows: A_n is built once per row, not per pair.
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _intpoly.eulerian_row.cache_clear()
+    code, _, _ = run(capsys, "verify", "--n-max", "14", "--m-max", "10", "--format", "json",
+                     *parallel)
+    assert code == 0
+    assert _intpoly.eulerian_row.cache_info().misses == 15
 
 
 @pytest.mark.parametrize("pairs", [["--n-max", "0", "--m-max", "4"],
