@@ -119,12 +119,6 @@ def divide_by_shift(cs: list[int], k: int) -> tuple[list[int], list[int]]:
     return cs, taylor
 
 
-def from_shift_basis(ds: list[int]) -> list[int]:
-    """Coefficients in t of sum_i d_i (t-1)^i."""
-    return [sum((-1) ** (i - j) * comb(i, j) * ds[i] for i in range(j, len(ds)))
-            for j in range(len(ds))]
-
-
 def cyclotomic(m: int) -> list[list[int]]:
     """Phi_d for the divisors d of m, ascending, from t^d - 1 = prod_{e|d} Phi_e."""
     phis: dict[int, list[int]] = {}

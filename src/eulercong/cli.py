@@ -346,10 +346,18 @@ class ProcessPoolExecutor:
         return results
 
     def _reap(self, fd: int) -> list:
+        import signal
+
         data = open(fd, "rb", buffering=0, closefd=False).read()  # written once done
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pids[fd], 0)[1])
-        self.pids.pop(fd)  # only now: a Ctrl-C in waitpid leaves the worker to __exit__
-        os.close(fd)
+        # No Ctrl-C from waitpid to the pop: __exit__ must not kill a reaped pid.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # only reads it, outside the try
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pids[fd], 0)[1])
+            self.pids.pop(fd)
+            os.close(fd)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if code or not data:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             raise RuntimeError(f"a worker process died ({how})")

@@ -18,8 +18,8 @@ from __future__ import annotations
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._intpoly import (add, check_nm, divide_by_shift, from_shift_basis, integer_sides, mul,
-                       poly_view, trim)
+from ._intpoly import (add, check_nm, divide_by_shift, integer_sides, mul, poly_view,
+                       times_binomial)
 
 if TYPE_CHECKING:
     from .poly import Poly
@@ -54,9 +54,8 @@ def _certify(n: int, m: int, lhs: list[int], rhs: list[int], den: int) -> Congru
     """Reduce (lhs - rhs)/den modulo (t-1)^(n+1) and assemble the certificate."""
     difference = add(lhs, rhs, -1)
     cofactor, taylor = divide_by_shift(difference, n + 1)
-    trim(taylor)
-    return CongruenceReport(n, m, not taylor, den, lhs, rhs, difference,
-                            from_shift_basis(taylor), cofactor)
+    remainder = add(difference, times_binomial(cofactor, 1, n + 1), -1) if any(taylor) else []
+    return CongruenceReport(n, m, not remainder, den, lhs, rhs, difference, remainder, cofactor)
 
 
 def report_from_sides(n: int, m: int, lhs: Poly, rhs: Poly) -> CongruenceReport:

@@ -64,8 +64,9 @@ def worpitzky_row(n: int, K: int) -> list[int]:
     Dividing a series by 1 - t takes its running sums, so this is n+1
     running sums over the coefficients of A_n (0^0 = 1).
     """
-    if n < 0 or K < 0:
-        raise ValueError("n and K must be nonnegative")
+    check_nm(n)
+    if K < 0:
+        raise ValueError("K must be nonnegative")
     row = eulerian_row(n)[:K + 1]
     cs = list(row) + [0] * (K + 1 - len(row))
     for _ in range(n + 1):

@@ -159,8 +159,7 @@ def diff_rational(n: int, m: int) -> RatFunc:
     Over (1 - t^m)^(n+1) its numerator is m^(n+1) A_n(t^m) - G_m^(n+1) A_n(t),
     the cleared difference of the two sides of the congruence.
     """
-    check_nm(n, m)  # cyclotomic(m) runs before integer_sides checks
-    return ratfunc_view(_diff(n, m, cyclotomic(m)))
+    return ratfunc_view(_diff(n, m, cyclotomic(m)))  # integer_sides checks n, m
 
 
 def _series(n: int, m: int, w_m: list[int], phis: list[list[int]]) -> Pair:

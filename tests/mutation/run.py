@@ -1,22 +1,26 @@
 """Source mutants that the tests must catch: python3 tests/mutation/run.py
 
 Each mutant is (file under src/, exact old text, new text, tests), where the
-tests are test files or pytest node ids. The script copies src/ to a
-temporary directory; for each mutant it replaces the old text and runs the
-tests against the copy with pytest -x, and the run must fail. The
-unmutated copy must pass every mutant's tests first. An old text that does
-not occur exactly once is an error, so a refactor that removes the mutated
-code fails here rather than leaving a mutant that tests nothing.
-The last line reads "N of M mutants caught in S s", S the whole run's
-wall time. Exits 0 when every mutant is caught, 1 otherwise.
+tests are test files or pytest node ids. The script copies src/ twice to a
+temporary directory; for each mutant it replaces the old text in a free
+copy and runs the tests against that copy with pytest -x, and the run must
+fail. Two threads run mutants side by side, one copy each, and the
+verdicts print in table order. The unmutated copy must pass every mutant's
+tests first. An old text that does not occur exactly once is an error, so
+a refactor that removes the mutated code fails here rather than leaving a
+mutant that tests nothing. The last line reads "N of M mutants caught in
+S s", S the whole run's wall time. Exits 0 when every mutant is caught, 1
+otherwise.
 """
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -90,9 +94,12 @@ MUTANTS = [
     (CLI, "next(per_worker[i % self.max_workers])", "next(per_worker[(i + 1) % self.max_workers])",
      ("tests/test_cli.py::test_real_pool_output_is_serial_bytes[plain]",)),
     # _reap drops the pid before waitpid, so a Ctrl-C there leaves the worker unreaped.
-    (CLI, "os.waitpid(self.pids[fd], 0)[1])\n        self.pids.pop(fd)",
+    (CLI, "os.waitpid(self.pids[fd], 0)[1])\n            self.pids.pop(fd)\n",
      "os.waitpid(self.pids.pop(fd), 0)[1])\n",
      ("tests/test_cli.py::test_interrupt_while_reaping_a_worker_leaves_no_child",)),
+    # _reap lets a Ctrl-C land between waitpid and dropping the pid.
+    (CLI, "            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})\n", "",
+     ("tests/test_cli.py::test_sigint_right_after_reaping_a_worker_exits_130",)),
     # The package's own usage errors print the top-level usage.
     (CLI, "p.set_defaults(run=run, parser=p)", "p.set_defaults(run=run, parser=parser)",
      ("tests/test_cli.py::test_subcommand_usage_keeps_option_order",)),
@@ -134,10 +141,6 @@ MUTANTS = [
     (KERNELS, "@lru_cache(maxsize=1)\n", "",
      ("tests/test_cli.py::test_each_grid_row_builds_its_eulerian_row_once[serial]",
       "tests/test_eulerian.py::test_row_cache_keeps_the_last_row_alone")),
-    # The binomial re-expansion drops its sign.
-    (KERNELS, "(-1) ** (i - j) * comb(i, j)", "comb(i, j)",
-     ("tests/test_intpoly.py::test_shifted_basis_reconstructs",
-      "tests/test_intpoly.py::test_remainder_taylor_shift")),
     # divide_by_shift divides by t - 1 one time too few.
     (KERNELS, "for _ in range(k):\n        sums", "for _ in range(k - 1):\n        sums",
      ("tests/test_prooftrace.py::test_reduced_difference_is_verify_cofactor_over_g_power",)),
@@ -194,7 +197,11 @@ MUTANTS = [
      ("tests/test_congruence.py::test_verify_n1_m2_certificate",
       "tests/test_congruence.py::test_negative_control_unscaled_rhs")),
     # Every certificate holds, whatever its remainder.
-    (CONGRUENCE, "not taylor", "True",
+    (CONGRUENCE, "not remainder", "True",
+     ("tests/test_congruence.py::test_negative_control_unscaled_rhs",
+      "tests/test_congruence.py::test_report_from_sides_matches_fraction_oracle")),
+    # A nonzero remainder is read off the identity with (t-1)^n, not (t-1)^(n+1).
+    (CONGRUENCE, "times_binomial(cofactor, 1, n + 1)", "times_binomial(cofactor, 1, n)",
      ("tests/test_congruence.py::test_negative_control_unscaled_rhs",
       "tests/test_congruence.py::test_report_from_sides_matches_fraction_oracle")),
     # Brute force gives A_0 = t, not 1.
@@ -235,11 +242,31 @@ def pytest(src: Path, tests) -> int:
                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
+def verdict(copies: queue.Queue, mutant) -> str:
+    """Run one mutant in a copy taken from `copies`, which gets it back restored."""
+    path, old, new, tests = mutant
+    text = (ROOT / "src" / path).read_text()
+    count = text.count(old)
+    if count != 1:
+        return f"ERROR: old text occurs {count} times"
+    src = copies.get()
+    try:
+        (src / path).write_text(text.replace(old, new))
+        code = pytest(src, tests)
+        (src / path).write_text(text)
+    finally:
+        copies.put(src)
+    return "caught" if code == 1 else "SURVIVED" if code == 0 else f"ERROR: pytest exit {code}"
+
+
 def main() -> int:
     start = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        copies: queue.Queue = queue.Queue()
+        for name in ("a", "b"):
+            src = Path(tmp) / name / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            copies.put(src)
         probe = python(src, "-c", "import eulercong; print(eulercong.__file__)",
                        capture_output=True, text=True, check=True).stdout
         if not probe.startswith(str(src)):
@@ -250,19 +277,11 @@ def main() -> int:
             print(f"the unmutated copy fails {' '.join(all_tests)}", file=sys.stderr)
             return 1
         missed = 0
-        for path, old, new, tests in MUTANTS:
-            text = (ROOT / "src" / path).read_text()
-            count = text.count(old)
-            if count != 1:
-                verdict = f"ERROR: old text occurs {count} times"
-            else:
-                (src / path).write_text(text.replace(old, new))
-                code = pytest(src, tests)
-                (src / path).write_text(text)
-                verdict = ("caught" if code == 1 else "SURVIVED" if code == 0
-                           else f"ERROR: pytest exit {code}")
-            missed += verdict != "caught"
-            print(f"{verdict}: {path}: {old!r} -> {new!r}", flush=True)
+        with ThreadPoolExecutor(copies.qsize()) as pool:
+            verdicts = pool.map(lambda mutant: verdict(copies, mutant), MUTANTS)
+            for (path, old, new, _), result in zip(MUTANTS, verdicts):
+                missed += result != "caught"
+                print(f"{result}: {path}: {old!r} -> {new!r}", flush=True)
         print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught"
               f" in {time.monotonic() - start:.0f} s")
         return 1 if missed else 0

@@ -528,6 +528,27 @@ def test_interrupt_while_reaping_a_worker_leaves_no_child(capsys, monkeypatch, d
     assert_no_child()
 
 
+def test_sigint_right_after_reaping_a_worker_exits_130(capsys, monkeypatch, deadline):
+    # A real SIGINT arrives just as the parent's waitpid has reaped the
+    # worker of the odd rows: the worker is gone, so __exit__ must not try
+    # to kill it, and the run ends as any other Ctrl-C does.
+    real_waitpid, calls = os.waitpid, []
+
+    def sigint_after_first_reap(pid, options):
+        reaped = real_waitpid(pid, options)
+        calls.append(pid)
+        if len(calls) == 1:
+            os.kill(os.getpid(), signal.SIGINT)
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", sigint_after_first_reap)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--m-max", "1", "--parallel", "2")
+    assert (code, out, err) == (130, "", "eulercong: interrupted\n")
+    assert len(calls) == 1
+    assert_no_child()
+
+
 def test_parallel_failure_is_the_serial_one(capsys, monkeypatch, deadline):
     # Rows 2 and 3 both fail, in different processes. The parent, which
     # renders the even rows, is slowed at (0, 1), so (3, 1) fails first in

@@ -69,7 +69,7 @@ def test_negative_control_unscaled_rhs():
     rhs_unscaled = geometric_poly(2) ** 2 * a
     rep = report_from_sides(1, 2, lhs, rhs_unscaled)
     assert not rep.holds
-    # Remainder is -3 - 6(t-1) re-expanded in t.
+    # The remainder is -3 - 6(t-1), that is 3 - 6t.
     assert rep.remainder == Poly([3, -6])
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 import trace_oracle
 from eulercong import _intpoly, poly, prooftrace, ratfunc
 from eulercong.congruence import report_from_sides, verify_congruence
-from eulercong.eulerian import eulerian_bruteforce, eulerian_from_gf, eulerian_recurrence
+from eulercong.eulerian import (eulerian_bruteforce, eulerian_from_gf, eulerian_recurrence,
+                                worpitzky_row)
 from eulercong.poly import Poly, geometric_poly
 from eulercong.prooftrace import (
     diff_rational,
@@ -82,11 +84,13 @@ ENTRY_POINTS = (verify_congruence, report_from_fixed_sides, full_trace, diff_rat
 
 
 # One domain for every entry point, refused by `_intpoly.check_nm`: n < 0 first, then
-# m < 1, each with its exact message. The Eulerian constructions take n alone (m None).
+# m < 1, each with its exact message. The Eulerian constructions take n alone (m None),
+# and worpitzky_row checks n before its own K, also when K < 0.
 @pytest.mark.parametrize("step,n,m", [
     *[(step, n, m) for step in ENTRY_POINTS for n, m in [(-1, 2), (0, 0), (-1, 0)]],
     (diff_rational, 2, 0),
     *[(step, -1, None) for step in (eulerian_recurrence, eulerian_bruteforce, eulerian_from_gf)],
+    *[(partial(worpitzky_row, K=K), -1, None) for K in (3, -1)],
 ])
 def test_proof_steps_reject_bad_n_m(step, n, m):
     message = "n must be nonnegative" if n < 0 else "m must be >= 1"
